@@ -33,11 +33,20 @@ from .transformations import (
 )
 
 
-def _default_cap() -> int:
-    value = os.environ.get("SYNCHROLAB_CAP")
-    if value:
-        return int(value)
-    return DEFAULT_CLOSURE_CAP
+def _closure_cap(flag: str | None = None) -> int:
+    """The --cap value, else SYNCHROLAB_CAP, else the default; at least 1."""
+    source, value = "--cap", flag
+    if value is None:
+        source, value = "SYNCHROLAB_CAP", os.environ.get("SYNCHROLAB_CAP")
+        if not value:
+            return DEFAULT_CLOSURE_CAP
+    try:
+        cap = int(value)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise SystemExit(f"error: {source} must be a positive integer, got {value!r}")
+    return cap
 
 
 def _load_group(spec: str) -> tuple[str, PermutationGroup]:
@@ -150,7 +159,7 @@ def cmd_gr(args) -> int:
 def cmd_verify(args) -> int:
     budget = Budget(seconds=args.budget_seconds, max_instances=args.max_instances)
     report = verify_theorem(
-        args.id, max_degree=args.max_degree, budget=budget, cap=_default_cap()
+        args.id, max_degree=args.max_degree, budget=budget, cap=_closure_cap()
     )
     sys.stdout.write(report_emit(report, args.format, include_timings=args.timings))
     return {"pass": 0, "fail": 1, "inconclusive": 2}[report.status]
@@ -208,7 +217,7 @@ def cmd_scan(args) -> int:
 
 
 def cmd_closure(args) -> int:
-    cap = _default_cap() if args.cap is None else args.cap
+    cap = _closure_cap(args.cap)
     name, group = _load_group(args.group)
     f = parse_transformation(args.map, degree=group.degree)
     c = group_and_map_closure(group, f, cap=cap)
@@ -278,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("closure", help="dump the semigroup closure, one map per line")
     _add_instance_args(p)
-    p.add_argument("--cap", type=int, default=None)
+    p.add_argument("--cap", default=None, help="at most this many elements")
     p.add_argument("--out", metavar="PATH")
     p.set_defaults(func=cmd_closure)
 

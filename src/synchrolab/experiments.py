@@ -38,6 +38,7 @@ from .transformations import (
     KernelType,
     Transformation,
     format_transformation,
+    identity,
 )
 
 WITNESS_ORACLE_CAP = 300_000
@@ -267,13 +268,9 @@ def _sweep_idempotent_32(sw: _Sweeper, max_degree: int):
             if not f.is_idempotent():
                 raise AssertionError("idempotent enumeration produced a non-idempotent")
             sw.rank_preserving_pairs.append(
-                (entry.name, f, _identity_like(entry.degree))
+                (entry.name, f, identity(entry.degree))
             )
             sw.expect_synchronized(entry, [inst])
-
-
-def _identity_like(n: int) -> Transformation:
-    return Transformation(tuple(range(n)))
 
 
 def _sweep_rankpres_32(sw: _Sweeper, max_degree: int):

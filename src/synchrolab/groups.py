@@ -164,22 +164,6 @@ class _StabilizerChain:
         residue, depth = self._strip(g, 0)
         return depth == self.n and all(residue[x] == x for x in range(self.n))
 
-    def iter_elements(self):
-        """All elements, deterministically ordered by transversal products."""
-        transversals = [
-            [lv.transversal[p] for p in sorted(lv.transversal)]
-            for lv in self.levels
-            if len(lv.transversal) > 1
-        ]
-        if not transversals:
-            yield tuple(range(self.n))
-            return
-        for combo in itertools.product(*reversed(transversals)):
-            g = combo[0]
-            for u in combo[1:]:
-                g = _mult(g, u)
-            yield g
-
     def suborder(self, start: int) -> int:
         """Order of the pointwise stabilizer of 0..start-1."""
         result = 1
@@ -350,7 +334,7 @@ class PermutationGroup:
             raise GroupTooLargeError(
                 f"group order {size} exceeds cap {cap}; raise the cap to enumerate"
             )
-        return [Transformation(g) for g in self._chain.iter_elements()]
+        return [Transformation(g) for g in self._chain.iter_stabilizer_elements(0)]
 
     def transitivity_degree(self) -> int:
         """Largest t with the group t-transitive (0 when intransitive)."""
@@ -444,7 +428,7 @@ class PermutationGroup:
                 f"group order {self.order()} exceeds cap {cap}"
             )
         want_moved = 2 if transpositions else 4
-        for g in self._chain.iter_elements():
+        for g in self._chain.iter_stabilizer_elements(0):
             moved = [x for x in range(self.degree) if g[x] != x]
             if len(moved) == want_moved and all(g[g[x]] == x for x in moved):
                 return True
@@ -508,10 +492,13 @@ def parse_group_text(text: str) -> tuple[str | None, PermutationGroup]:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if line.lower().startswith("degree"):
+        words = line.split()
+        if words[0].lower() in ("degree", "degree:"):
             if degree is not None:
                 raise ValueError("duplicate degree line")
-            degree = int(line.split()[1])
+            if len(words) != 2 or not words[1].isdecimal():
+                raise ValueError(f"expected 'degree n', got {line!r}")
+            degree = int(words[1])
             continue
         if line.lower().startswith("name:"):
             name = line.split(":", 1)[1].strip()

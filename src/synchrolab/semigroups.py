@@ -22,6 +22,10 @@ from .sync import InconsistencyError
 from .transformations import Partition, Transformation, compose, identity
 
 DEFAULT_CLOSURE_CAP = 1_000_000
+# All-numpy BFS took closures of 100-2047 elements from 0.26 to 0.70 ms (median).
+DENSE_MIN_ELEMENTS = 2048
+# The visited array holds degree**degree bytes: 16.7 MB at 8, 387 MB at 9.
+DENSE_MAX_DEGREE = 8
 
 
 class TruncatedClosureError(Exception):
@@ -56,7 +60,7 @@ class SemigroupClosure:
     @cached_property
     def rank_spectrum(self) -> tuple[int, ...]:
         self._require_complete()
-        return tuple(sorted({int(r) for r in self.ranks}))
+        return tuple(int(r) for r in np.unique(self.ranks))
 
     @property
     def min_rank(self) -> int:
@@ -109,29 +113,49 @@ class SemigroupClosure:
 def closure(generators, cap: int = DEFAULT_CLOSURE_CAP) -> SemigroupClosure:
     """Breadth-first product closure of the generators.
 
-    Composition uses bytes.translate, so elements live as byte strings
-    until the final matrix is assembled.
+    Elements are numbered in discovery order: the distinct generators in
+    input order, then level by level, each level's products taken frontier
+    element by frontier element and, within one element, generator by
+    generator. The closure never holds more than ``cap`` elements; when one
+    more new element turns up (a generator included), the closure stops
+    there and is marked truncated.
+
+    The BFS runs in two phases with the same order. Small closures compose
+    byte strings with bytes.translate and deduplicate them in a set. Once
+    DENSE_MIN_ELEMENTS elements are found at a level boundary and the
+    degree is at most DENSE_MAX_DEGREE, the rest runs level by level in
+    numpy over a visited array of degree**degree bytes (at most 16.7 MB),
+    indexed by the base-degree code of each map.
     """
     gens = tuple(generators)
     if not gens:
         raise ValueError("need at least one generator")
+    if cap < 1:
+        raise ValueError(f"closure cap must be at least 1, got {cap}")
     degree = gens[0].degree
     for g in gens:
         if g.degree != degree:
             raise ValueError("generator degree mismatch")
     # translate tables must cover all 256 byte values
     tables = [bytes(g.images) + bytes(range(degree, 256)) for g in gens]
-    seen: dict[bytes, int] = {}
+    seen: set[bytes] = set()
     order: list[bytes] = []
     truncated = False
     for g in gens:
         b = bytes(g.images)
         if b not in seen:
-            seen[b] = len(order)
+            if len(order) >= cap:
+                truncated = True
+                break
+            seen.add(b)
             order.append(b)
-    frontier = list(order)
-    while frontier and not truncated:
-        new_frontier = []
+    dense = degree <= DENSE_MAX_DEGREE
+    level_start = 0
+    while len(order) > level_start and not truncated:
+        if dense and len(order) >= DENSE_MIN_ELEMENTS:
+            break
+        frontier = order[level_start:]
+        level_start = len(order)
         for w in frontier:
             for t in tables:
                 prod = w.translate(t)
@@ -139,15 +163,15 @@ def closure(generators, cap: int = DEFAULT_CLOSURE_CAP) -> SemigroupClosure:
                     if len(order) >= cap:
                         truncated = True
                         break
-                    seen[prod] = len(order)
+                    seen.add(prod)
                     order.append(prod)
-                    new_frontier.append(prod)
             if truncated:
                 break
-        frontier = new_frontier
     matrix = np.frombuffer(b"".join(order), dtype=np.uint8).reshape(
         len(order), degree
     )
+    if len(order) > level_start and not truncated:
+        matrix, truncated = _dense_levels(gens, matrix, level_start, cap)
     return SemigroupClosure(
         degree=degree,
         generators=gens,
@@ -155,6 +179,52 @@ def closure(generators, cap: int = DEFAULT_CLOSURE_CAP) -> SemigroupClosure:
         truncated=truncated,
         cap=cap,
     )
+
+
+def _dense_levels(
+    gens: tuple[Transformation, ...], found: np.ndarray, level_start: int, cap: int
+) -> tuple[np.ndarray, bool]:
+    """The remaining BFS levels of closure, one numpy pass per level.
+
+    ``found`` holds the elements so far; its rows from ``level_start`` on
+    are the last level. A product's code is summed from the table
+    code_of[i][v] = (letter image of v) * degree**(degree-1-i), so uint8
+    products are built only for the elements that are new. The new element
+    of each code is its first candidate in the level: sorting
+    (code << 32 | index) keys puts it at the head of its code's run, about
+    6x faster than the stable argsort of np.unique(return_index=True).
+    """
+    n = found.shape[1]
+    letters = np.array([g.images for g in gens], dtype=np.uint8)
+    weights = n ** np.arange(n - 1, -1, -1, dtype=np.int32)
+    # code_of[i] has shape (n, letters): point v at position i under each letter
+    code_of = letters.T[None, :, :].astype(np.int32) * weights[:, None, None]
+    visited = np.zeros(n**n, dtype=bool)
+    visited[found.astype(np.int32) @ weights] = True
+    blocks = [found]
+    count = len(found)
+    frontier = found[level_start:]
+    truncated = False
+    while len(frontier) and not truncated:
+        codes = code_of[0][frontier[:, 0]]
+        for i in range(1, n):
+            codes += code_of[i][frontier[:, i]]
+        codes = codes.ravel()  # frontier-major, letter-minor
+        fresh = np.flatnonzero(~visited[codes])
+        keys = codes[fresh].astype(np.int64) << 32 | fresh
+        keys.sort()
+        first = np.ones(len(keys), dtype=bool)
+        first[1:] = (keys[1:] >> 32) != (keys[:-1] >> 32)
+        fresh = np.sort(keys[first] & 0xFFFFFFFF)
+        if len(fresh) > cap - count:
+            fresh = fresh[: cap - count]
+            truncated = True
+        visited[codes[fresh]] = True
+        which, letter = np.divmod(fresh, len(gens))
+        frontier = letters[letter[:, None], frontier[which]]
+        blocks.append(frontier)
+        count += len(frontier)
+    return np.concatenate(blocks), truncated
 
 
 def group_and_map_closure(

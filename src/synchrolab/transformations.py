@@ -310,7 +310,10 @@ def parse_transformation(text: str, degree: int | None = None) -> Transformation
         body = text[1:-1].strip()
         if not body:
             raise ValueError("empty image list")
-        images = tuple(int(tok) - 1 for tok in re.split(r"[,\s]+", body))
+        tokens = re.split(r"\s*,\s*|\s+", body)
+        if "" in tokens:
+            raise ValueError(f"empty entry in image list: {text!r}")
+        images = tuple(int(tok) - 1 for tok in tokens)
         if degree is not None and len(images) != degree:
             raise ValueError(f"expected degree {degree}, got {len(images)}")
         return Transformation(images)

@@ -250,3 +250,30 @@ class TestScanAndClosure:
         assert code == 0
         assert "truncated" in out
         assert len(out_path.read_text().strip().splitlines()) == 5
+
+    def test_closure_cap_flag_never_exceeded(self, capsys):
+        code, out, err = run(
+            capsys, "closure", "--group", "S3", "--map", "[1,1,3]", "--cap", "2"
+        )
+        assert code == 0
+        assert out.splitlines() == ["[2,1,3]", "[2,3,1]"]
+        assert "truncated" in err
+
+    @pytest.mark.parametrize("value", ["0", "-3", "abc"])
+    def test_closure_bad_cap_flag(self, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "closure", "--group", "S3", "--map", "[1,1,3]", "--cap", value)
+        assert str(exc.value) == (
+            f"error: --cap must be a positive integer, got {value!r}"
+        )
+
+    @pytest.mark.parametrize("value", ["0", "abc"])
+    def test_bad_cap_env(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("SYNCHROLAB_CAP", value)
+        message = f"error: SYNCHROLAB_CAP must be a positive integer, got {value!r}"
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "closure", "--group", "S3", "--map", "[1,1,3]")
+        assert str(exc.value) == message
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "verify", "rystsov", "--max-degree", "4")
+        assert str(exc.value) == message

@@ -4,6 +4,7 @@ import pytest
 
 from synchrolab.catalog import (
     alternating_group,
+    build_catalog,
     cyclic_group,
     dihedral_group,
     grid_group,
@@ -296,6 +297,19 @@ class TestGroupFiles:
     def test_missing_degree(self):
         with pytest.raises(ValueError):
             parse_group_text("(1 2 3)")
+
+    @pytest.mark.parametrize(
+        "text", ["degree", "degree x\n(1 2)", "degree 3 4\n(1 2)", "degreee 3\n(1 2 3)"]
+    )
+    def test_bad_degree_line(self, text):
+        with pytest.raises(ValueError):
+            parse_group_text(text)
+
+    def test_format_roundtrip_catalog(self):
+        for entry in build_catalog(64):
+            name, g = parse_group_text(format_group_text(entry.group, entry.name))
+            assert name == entry.name
+            assert g.generators == entry.group.generators
 
     def test_comments_and_blanks(self):
         text = "# a comment\n\ndegree 3\n(1 2)\n"

@@ -3,7 +3,9 @@ import random
 
 import pytest
 
+from synchrolab import semigroups
 from synchrolab.catalog import (
+    build_catalog,
     cyclic_group,
     dihedral_group,
     grid_group,
@@ -11,6 +13,8 @@ from synchrolab.catalog import (
 )
 from synchrolab.groups import GroupTooLargeError, PermutationGroup
 from synchrolab.semigroups import (
+    DEFAULT_CLOSURE_CAP,
+    DENSE_MIN_ELEMENTS,
     SemigroupClosure,
     TruncatedClosureError,
     closure,
@@ -25,6 +29,7 @@ from synchrolab.semigroups import (
     regular_partition_sizes,
     regular_partition_witnesses,
 )
+from synchrolab.sweeps import kernel_orbit_representatives, kernel_types_of_rank
 from synchrolab.sync import obstruction_graph
 from synchrolab.transformations import (
     Partition,
@@ -95,6 +100,106 @@ class TestClosure:
         c = group_and_map_closure(symmetric_group(3), t(1, 1, 3))
         assert c.contains(constant(3, 0))
         assert c.contains(identity(3))
+
+    def test_cap_below_one_rejected(self):
+        with pytest.raises(ValueError):
+            closure([constant(3, 0)], cap=0)
+
+    def test_cap_cuts_the_generator_list(self):
+        gens = list(symmetric_group(3).generators) + [t(1, 1, 3)]
+        c = closure(gens, cap=1)
+        assert len(c) == 1 and c.truncated
+        assert c.matrix.tobytes() == bytes(gens[0].images)
+
+
+def reference_closure(generators, cap):
+    """The per-element bytes.translate BFS that closure must reproduce."""
+    degree = generators[0].degree
+    tables = [bytes(g.images) + bytes(range(degree, 256)) for g in generators]
+    seen = set()
+    order = []
+    truncated = False
+    for g in generators:
+        b = bytes(g.images)
+        if b not in seen:
+            if len(order) >= cap:
+                truncated = True
+                break
+            seen.add(b)
+            order.append(b)
+    frontier = list(order)
+    while frontier and not truncated:
+        new_frontier = []
+        for w in frontier:
+            for table in tables:
+                prod = w.translate(table)
+                if prod not in seen:
+                    if len(order) >= cap:
+                        truncated = True
+                        break
+                    seen.add(prod)
+                    order.append(prod)
+                    new_frontier.append(prod)
+            if truncated:
+                break
+        frontier = new_frontier
+    return b"".join(order), truncated
+
+
+def assert_matches_reference(generators, cap=DEFAULT_CLOSURE_CAP):
+    c = closure(generators, cap=cap)
+    expected, truncated = reference_closure(generators, cap)
+    assert c.matrix.tobytes() == expected
+    assert c.truncated == truncated
+    return c
+
+
+def _oracle_instances(entry, rng, random_maps=3):
+    """Kernel-orbit representatives of rank >= n-2, then seeded random maps."""
+    n = entry.degree
+    maps = []
+    for rank in (n - 1, n - 2):
+        for kt in kernel_types_of_rank(n, rank):
+            for kernel in kernel_orbit_representatives(entry.group, kt):
+                maps.append(tuple(kernel.block_containing(x)[0] for x in range(n)))
+    maps += [tuple(rng.randrange(n) for _ in range(n)) for _ in range(random_maps)]
+    return [list(entry.group.generators) + [Transformation(m)] for m in maps]
+
+
+class TestClosureMatchesReference:
+    @pytest.mark.parametrize("entry", build_catalog(7), ids=lambda e: e.name)
+    def test_catalog_up_to_degree_7(self, entry):
+        for gens in _oracle_instances(entry, random.Random(entry.name)):
+            assert_matches_reference(gens)
+
+    def test_s8_truncates_at_default_cap(self):
+        gens = list(symmetric_group(8).generators) + [t(1, 1, 3, 4, 5, 6, 7, 8)]
+        assert assert_matches_reference(gens).truncated
+
+    def test_degree_9_stays_per_element(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("degree 9 must not use the dense visited array")
+
+        monkeypatch.setattr(semigroups, "_dense_levels", refuse)
+        gens = list(GRID.generators) + [t(1, 1, 3, 4, 5, 6, 7, 8, 9)]
+        c = assert_matches_reference(gens, cap=3 * DENSE_MIN_ELEMENTS)
+        assert len(c) > DENSE_MIN_ELEMENTS
+
+    @pytest.mark.parametrize(
+        "group, f",
+        [
+            (symmetric_group(6), t(1, 1, 3, 4, 5, 6)),
+            (cyclic_group(8), t(1, 1, 3, 4, 5, 6, 7, 8)),
+        ],
+        ids=["S6", "C8"],
+    )
+    def test_caps_around_the_phase_switch(self, group, f):
+        gens = list(group.generators) + [f]
+        size = len(closure(gens))
+        assert size > DENSE_MIN_ELEMENTS + 1
+        m = DENSE_MIN_ELEMENTS
+        for cap in (1, 2, 3, m - 1, m, m + 1, size - 1, size, size + 1):
+            assert_matches_reference(gens, cap)
 
 
 class TestFindRankPreserving:

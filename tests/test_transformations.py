@@ -189,6 +189,15 @@ class TestTextFormats:
         with pytest.raises(ValueError):
             parse_cycles("(1 2)(2 3) junk")
 
+    @pytest.mark.parametrize("text", ["[1,,2]", "[1,2,]", "[,1,2]"])
+    def test_empty_image_rejected(self, text):
+        with pytest.raises(ValueError, match="empty entry"):
+            parse_transformation(text)
+
+    def test_separators(self):
+        for text in ["[2,2,3,1]", "[2, 2, 3, 1]", "[2 2 3 1]", "[ 2 ,2,3 , 1 ]"]:
+            assert parse_transformation(text) == t(2, 2, 3, 1)
+
 
 class TestDegreeCap:
     def test_cap_enforced(self):
