@@ -29,7 +29,6 @@ from .sync import (
     PairCollapseAutomaton,
     SyncVerdict,
     cerny_bound,
-    collapsible_pairs,
     min_rank_via_graph,
     obstruction_graph,
     synchronizes,

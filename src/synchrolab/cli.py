@@ -27,6 +27,7 @@ from .sweeps import instances_of_type, kernel_types_of_rank
 from .sync import cerny_bound, synchronizes
 from .transformations import (
     KernelType,
+    Transformation,
     format_cycles,
     format_transformation,
     parse_transformation,
@@ -60,6 +61,20 @@ def _load_group(spec: str) -> tuple[str, PermutationGroup]:
         return spec, table[spec].group
     raise SystemExit(
         f"error: {spec!r} is neither a readable file nor a catalog entry name"
+    )
+
+
+def _parse_arg(flag: str, text: str, parse):
+    """parse(text), or one error line naming the flag when the text is malformed."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise SystemExit(f"error: {flag} {text!r}: {exc}") from None
+
+
+def _parse_map(text: str, group: PermutationGroup) -> Transformation:
+    return _parse_arg(
+        "--map", text, lambda t: parse_transformation(t, degree=group.degree)
     )
 
 
@@ -97,7 +112,7 @@ def cmd_catalog(args) -> int:
 
 def cmd_check(args) -> int:
     name, group = _load_group(args.group)
-    f = parse_transformation(args.map, degree=group.degree)
+    f = _parse_map(args.map, group)
     verdict = synchronizes(group, f)
     word_len = len(verdict.witness_word) if verdict.witness_word else None
     print(
@@ -130,7 +145,7 @@ def cmd_check(args) -> int:
 
 def cmd_word(args) -> int:
     name, group = _load_group(args.group)
-    f = parse_transformation(args.map, degree=group.degree)
+    f = _parse_map(args.map, group)
     verdict = synchronizes(group, f)
     if not verdict.synchronizes:
         print(f"{name} does not synchronize {format_transformation(f)}")
@@ -145,7 +160,7 @@ def cmd_word(args) -> int:
 
 def cmd_gr(args) -> int:
     name, group = _load_group(args.group)
-    f = parse_transformation(args.map, degree=group.degree)
+    f = _parse_map(args.map, group)
     graph = synchronizes(group, f).obstruction
     text = graph.to_adjacency_text() if args.adjacency else graph.to_dot()
     if args.emit_dot:
@@ -184,7 +199,9 @@ def cmd_scan(args) -> int:
     entries = build_catalog(args.max_degree)
     if args.degree:
         entries = [e for e in entries if e.degree == args.degree]
-    wanted_type = KernelType.parse(args.kernel_type) if args.kernel_type else None
+    wanted_type = None
+    if args.kernel_type:
+        wanted_type = _parse_arg("--kernel-type", args.kernel_type, KernelType.parse)
     for entry in entries:
         n = entry.degree
         if wanted_type is not None:
@@ -219,7 +236,7 @@ def cmd_scan(args) -> int:
 def cmd_closure(args) -> int:
     cap = _closure_cap(args.cap)
     name, group = _load_group(args.group)
-    f = parse_transformation(args.map, degree=group.degree)
+    f = _parse_map(args.map, group)
     c = group_and_map_closure(group, f, cap=cap)
     text = c.dump()
     if args.out:

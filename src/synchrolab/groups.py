@@ -1,10 +1,14 @@
 """Permutation groups given by generators.
 
-Orbits, block systems and primitivity use elementary union-find methods;
-order and membership use a deterministic stabilizer chain with base order
-0, 1, 2, ... so that cached results are reproducible across runs.
+Point orbits, block systems and primitivity use elementary union-find
+methods; order and membership use a deterministic stabilizer chain with
+base order 0, 1, 2, ... so that cached results are reproducible across
+runs. Orbits on point sets, pairs and partitions all come from one
+breadth-first walker, PermutationGroup.orbit, which also records the
+generator word reaching each orbit member.
 
-A group is immutable after construction; lazy caches are filled on first
+A group is immutable after construction; lazy caches (stabilizer chain,
+pair orbits, block systems, stabilizer element lists) are filled on first
 use and identical regardless of call order, so instances may be shared.
 """
 from __future__ import annotations
@@ -17,6 +21,7 @@ from pathlib import Path
 from .transformations import (
     Partition,
     Transformation,
+    compose_all,
     format_cycles,
     identity,
     parse_cycles,
@@ -102,15 +107,14 @@ class _StabilizerChain:
         gens = self._gens_at(i)
         ident = tuple(range(self.n))
         lv.transversal = {lv.point: ident}
-        queue = [lv.point]
-        while queue:
-            p = queue.pop(0)
+        order = [lv.point]
+        for p in order:
             u = lv.transversal[p]
             for g in gens:
                 q = g[p]
                 if q not in lv.transversal:
                     lv.transversal[q] = _mult(u, g)
-                    queue.append(q)
+                    order.append(q)
 
     def _strip(self, g: tuple[int, ...], start: int) -> tuple[tuple[int, ...], int]:
         for i in range(start, self.n):
@@ -188,6 +192,24 @@ class _StabilizerChain:
             yield g
 
 
+def act_on_set(points: frozenset[int], g: tuple[int, ...]) -> frozenset[int]:
+    """Image of a point set under the permutation with image tuple ``g``."""
+    return frozenset([g[x] for x in points])
+
+
+def act_on_pair(pair: tuple[int, int], g: tuple[int, ...]) -> tuple[int, int]:
+    """Image of a sorted point pair, sorted again."""
+    a, b = g[pair[0]], g[pair[1]]
+    return (a, b) if a < b else (b, a)
+
+
+def act_on_blocks(
+    blocks: tuple[tuple[int, ...], ...], g: tuple[int, ...]
+) -> tuple[tuple[int, ...], ...]:
+    """Image of a canonical block tuple (``Partition.blocks``), kept canonical."""
+    return tuple(sorted([tuple(sorted([g[x] for x in b])) for b in blocks]))
+
+
 class PermutationGroup:
     """A permutation group on ``{0, ..., degree-1}`` given by generators."""
 
@@ -206,6 +228,7 @@ class PermutationGroup:
                 raise ValueError(f"generator is not a permutation: {g}")
         self.degree = degree
         self.generators = gens
+        self._stabilizers: dict[int, tuple[tuple[int, ...], ...]] = {}
 
     def __repr__(self):
         gens = ", ".join(format_cycles(g) for g in self.generators)
@@ -228,6 +251,30 @@ class PermutationGroup:
 
     def orbits(self) -> Partition:
         return self._orbit_partition
+
+    def orbit(self, start, act):
+        """Breadth-first orbit of ``start``, where ``act(item, images)`` moves an item.
+
+        Yields ``(item, word)`` in discovery order, ``start`` first with the
+        empty word. ``word`` holds the generator indices, first letter
+        first, of the element ``self.element(word)`` that carries ``start``
+        to ``item``. The walk is lazy, so a caller may stop at its answer.
+        """
+        gens = [g.images for g in self.generators]
+        words = {start: ()}
+        order = [start]
+        for item in order:
+            word = words[item]
+            yield item, word
+            for i, g in enumerate(gens):
+                moved = act(item, g)
+                if moved not in words:
+                    words[moved] = word + (i,)
+                    order.append(moved)
+
+    def element(self, word) -> Transformation:
+        """The product of the generators indexed by ``word``, left to right."""
+        return compose_all([identity(self.degree)] + [self.generators[i] for i in word])
 
     def is_transitive(self) -> bool:
         return len(self._orbit_partition) == 1
@@ -297,8 +344,7 @@ class PermutationGroup:
             if blk != full and blk not in found:
                 found.add(blk)
                 queue.append(blk)
-        while queue:
-            blk = queue.pop(0)
+        for blk in queue:
             for x in range(n):
                 if x in blk:
                     continue
@@ -354,24 +400,13 @@ class PermutationGroup:
         """Orbit id for each unordered pair {v,w}, indexed by v*n+w (v<w)."""
         n = self.degree
         ids = [-1] * (n * n)
-        gens = [g.images for g in self.generators]
         count = 0
         for v in range(n):
             for w in range(v + 1, n):
-                if ids[v * n + w] != -1:
-                    continue
-                ids[v * n + w] = count
-                queue = [(v, w)]
-                while queue:
-                    x, y = queue.pop()
-                    for g in gens:
-                        a, b = g[x], g[y]
-                        if a > b:
-                            a, b = b, a
-                        if ids[a * n + b] == -1:
-                            ids[a * n + b] = count
-                            queue.append((a, b))
-                count += 1
+                if ids[v * n + w] == -1:
+                    for (a, b), _ in self.orbit((v, w), act_on_pair):
+                        ids[a * n + b] = count
+                    count += 1
         return ids, count
 
     def pair_orbits(self) -> list[list[tuple[int, int]]]:
@@ -388,31 +423,24 @@ class PermutationGroup:
         """Order of the pointwise stabilizer of 0..prefix_len-1."""
         return self._chain.suborder(prefix_len)
 
-    def stabilizer_elements(self, prefix_len: int, cap: int = 1_000_000):
-        """Elements fixing 0..prefix_len-1, as raw image tuples."""
+    def stabilizer_elements(
+        self, prefix_len: int, cap: int = 1_000_000
+    ) -> tuple[tuple[int, ...], ...]:
+        """Elements fixing 0..prefix_len-1, as raw image tuples, cached per prefix."""
         size = self._chain.suborder(prefix_len)
         if size > cap:
             raise GroupTooLargeError(
                 f"stabilizer order {size} exceeds cap {cap}"
             )
-        return list(self._chain.iter_stabilizer_elements(prefix_len))
+        elements = self._stabilizers.get(prefix_len)
+        if elements is None:
+            elements = tuple(self._chain.iter_stabilizer_elements(prefix_len))
+            self._stabilizers[prefix_len] = elements
+        return elements
 
     def set_orbit(self, points) -> list[frozenset[int]]:
         """Orbit of a point set under the group, in BFS discovery order."""
-        start = frozenset(points)
-        seen = {start}
-        queue = [start]
-        order = [start]
-        gens = [g.images for g in self.generators]
-        while queue:
-            s = queue.pop(0)
-            for g in gens:
-                t = frozenset(g[x] for x in s)
-                if t not in seen:
-                    seen.add(t)
-                    queue.append(t)
-                    order.append(t)
-        return order
+        return [s for s, _ in self.orbit(frozenset(points), act_on_set)]
 
     def contains_transposition(self, cap: int = 1_000_000) -> bool:
         """Whether some element is a transposition; scans all elements."""

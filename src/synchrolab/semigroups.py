@@ -12,14 +12,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 
 import numpy as np
 
 from .graphs import Graph
-from .groups import GroupTooLargeError, PermutationGroup
+from .groups import GroupTooLargeError, PermutationGroup, act_on_set
+from .sweeps import partitions_of_type
 from .sync import InconsistencyError
-from .transformations import Partition, Transformation, compose, identity
+from .transformations import KernelType, Partition, Transformation, compose
 
 DEFAULT_CLOSURE_CAP = 1_000_000
 # All-numpy BFS took closures of 100-2047 elements from 0.26 to 0.70 ms (median).
@@ -241,6 +241,17 @@ def contains_constant(c: SemigroupClosure) -> bool:
     return c.contains_constant()
 
 
+def _is_transversal(points, block_index) -> bool:
+    """Whether the points lie in pairwise distinct blocks."""
+    hit = set()
+    for x in points:
+        b = block_index[x]
+        if b in hit:
+            return False
+        hit.add(b)
+    return True
+
+
 def find_rank_preserving_g(
     group: PermutationGroup, f: Transformation, cap: int = DEFAULT_CLOSURE_CAP
 ) -> Transformation | None:
@@ -248,45 +259,21 @@ def find_rank_preserving_g(
 
     rank(f g f) = rank(f) holds exactly when g carries the image of f onto
     a transversal of the kernel of f, so the search walks the orbit of the
-    image set and keeps the word of generators reaching each set. The cap
-    bounds the number of visited sets (at most one per image of the set).
+    image set and returns the element reaching the first transversal. The
+    cap bounds the number of sets tested.
     """
     if f.degree != group.degree:
         raise ValueError("degree mismatch")
-    kernel = f.kernel()
-    image = frozenset(f.image())
-    rank = len(image)
-
-    def is_transversal(points) -> bool:
-        hit = set()
-        for x in points:
-            b = kernel.block_index[x]
-            if b in hit:
-                return False
-            hit.add(b)
-        return len(hit) == rank
-
-    gens = [g.images for g in group.generators]
-    words: dict[frozenset[int], tuple[int, ...]] = {image: ()}
-    queue = [image]
-    while queue:
-        s = queue.pop(0)
-        if is_transversal(s):
-            g = identity(group.degree)
-            for gi in words[s]:
-                g = compose(g, group.generators[gi])
-            if compose(compose(f, g), f).rank() != rank:
+    block_index = f.kernel().block_index
+    walk = group.orbit(frozenset(f.image()), act_on_set)
+    for count, (s, word) in enumerate(walk, 1):
+        if count > cap:
+            raise GroupTooLargeError(f"image-set orbit exceeded cap {cap}")
+        if _is_transversal(s, block_index):
+            g = group.element(word)
+            if compose(compose(f, g), f).rank() != len(s):
                 raise InconsistencyError("transversal image did not preserve rank")
             return g
-        for gi, gmap in enumerate(gens):
-            t = frozenset(gmap[x] for x in s)
-            if t not in words:
-                if len(words) >= cap:
-                    raise GroupTooLargeError(
-                        f"image-set orbit exceeded cap {cap}"
-                    )
-                words[t] = words[s] + (gi,)
-                queue.append(t)
     return None
 
 
@@ -353,36 +340,18 @@ def is_group_section(
 ) -> bool:
     """True iff every group translate of the section hits each block once.
 
-    Walks the orbit of the section as a set; the cap bounds the orbit size
-    rather than the group order, which is what the work depends on.
+    Walks the orbit of the section as a set up to the first translate that
+    misses a block; the cap bounds the number of translates tested rather
+    than the group order, which is what the work depends on.
     """
     pts = frozenset(section)
     if len(pts) != len(blocks):
         raise ValueError("section size must equal the number of blocks")
-
-    def is_transversal(points) -> bool:
-        hit = set()
-        for x in points:
-            b = blocks.block_index[x]
-            if b in hit:
-                return False
-            hit.add(b)
-        return True
-
-    gens = [g.images for g in group.generators]
-    seen = {pts}
-    queue = [pts]
-    while queue:
-        s = queue.pop(0)
-        if not is_transversal(s):
+    for count, (s, _) in enumerate(group.orbit(pts, act_on_set), 1):
+        if count > cap:
+            raise GroupTooLargeError(f"section orbit exceeded cap {cap}")
+        if not _is_transversal(s, blocks.block_index):
             return False
-        for gmap in gens:
-            t = frozenset(gmap[x] for x in s)
-            if t not in seen:
-                if len(seen) >= cap:
-                    raise GroupTooLargeError(f"section orbit exceeded cap {cap}")
-                seen.add(t)
-                queue.append(t)
     return True
 
 
@@ -399,31 +368,13 @@ MAX_EXHAUSTIVE_DEGREE = 12
 MAX_NONUNIFORM_DEGREE = 10
 
 
-def _uniform_partitions(n: int, parts: int):
-    """All partitions of range(n) into ``parts`` blocks of equal size."""
-    size = n // parts
-
-    def rec(remaining: frozenset[int]):
-        if not remaining:
-            yield []
-            return
-        anchor = min(remaining)
-        rest = sorted(remaining - {anchor})
-        for extra in combinations(rest, size - 1):
-            block = (anchor, *extra)
-            for tail in rec(remaining - set(block)):
-                yield [block] + tail
-
-    yield from rec(frozenset(range(n)))
-
-
 def _all_partitions(n: int, parts: int):
     """All partitions of range(n) into exactly ``parts`` blocks."""
 
     def rec(x: int, blocks: list[list[int]]):
         if x == n:
             if len(blocks) == parts:
-                yield [tuple(b) for b in blocks]
+                yield Partition(n, tuple(tuple(b) for b in blocks))
             return
         if len(blocks) + (n - x) < parts:
             return
@@ -462,13 +413,12 @@ def regular_partition_witnesses(
     for s in range(2, n):
         if allow_nonuniform:
             candidates = _all_partitions(n, s)
+        elif n % s == 0:
+            candidates = partitions_of_type(KernelType((n // s,) * s))
         else:
-            if n % s != 0:
-                continue
-            candidates = _uniform_partitions(n, s)
+            continue
         found = None
-        for blocks in candidates:
-            partition = Partition(n, tuple(blocks))
+        for partition in candidates:
             delta = coblock_graph(group, partition)
             section = delta.independent_set_of_size(s)
             if section is not None:

@@ -17,7 +17,9 @@ assignment per orbit of the right G-action covers every map of a given
 kernel type. Both reductions are used:
 
 - kernel_orbit_representatives enumerates partitions of the wanted type
-  and keeps the smallest member of each G-orbit;
+  and keeps the smallest member of each G-orbit. Orbits are walked with
+  PermutationGroup.orbit on raw canonical block tuples, so no Partition is
+  built per orbit step;
 - assignment_representatives normalises the first t coordinates of the
   image tuple to 0, 1, ..., t-1 (t = transitivity degree), then removes the
   residual pointwise-stabilizer symmetry when that stabilizer is small
@@ -34,8 +36,8 @@ from dataclasses import dataclass
 from itertools import combinations, permutations, product
 from typing import Iterator
 
-from .groups import PermutationGroup
-from .transformations import KernelType, Partition, Transformation, identity
+from .groups import PermutationGroup, act_on_blocks
+from .transformations import KernelType, Partition, Transformation
 
 STABILIZER_ENUMERATION_CAP = 20_000
 
@@ -86,36 +88,16 @@ def kernel_orbit_representatives(
     for p in partitions_of_type(kt):
         if p.blocks in seen:
             continue
-        orbit = {p.blocks: p}
-        queue = [p]
-        while queue:
-            current = queue.pop()
-            for g in group.generators:
-                moved = current.apply(g)
-                if moved.blocks not in orbit:
-                    orbit[moved.blocks] = moved
-                    queue.append(moved)
+        orbit = [blocks for blocks, _ in group.orbit(p.blocks, act_on_blocks)]
         seen.update(orbit)
-        reps.append(orbit[min(orbit)])
+        reps.append(Partition(kt.degree, min(orbit)))
     return reps
 
 
 def canonical_kernel(group: PermutationGroup, blocks: Partition):
     """Minimal partition of the orbit plus a permutation u with blocks*u = rep."""
-    orbit = {blocks.blocks: identity(group.degree)}
-    queue = [blocks]
-    realise = {blocks.blocks: blocks}
-    while queue:
-        current = queue.pop()
-        u = orbit[current.blocks]
-        for g in group.generators:
-            moved = current.apply(g)
-            if moved.blocks not in orbit:
-                orbit[moved.blocks] = u * g
-                realise[moved.blocks] = moved
-                queue.append(moved)
-    best = min(orbit)
-    return realise[best], orbit[best]
+    best, word = min(group.orbit(blocks.blocks, act_on_blocks))
+    return Partition(blocks.degree, best), group.element(word)
 
 
 def assignment_representatives(

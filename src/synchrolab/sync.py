@@ -85,8 +85,7 @@ class PairCollapseAutomaton:
                     reverse.setdefault(q, []).append(p)
         collapsible = set(seeds)
         queue = list(seeds)
-        while queue:
-            q = queue.pop(0)
+        for q in queue:
             for p in reverse.get(q, ()):
                 if p in collapsible:
                     continue
@@ -138,10 +137,6 @@ class PairCollapseAutomaton:
             for w in range(v + 1, n)
             if v * n + w not in self.collapsible
         ]
-
-
-def collapsible_pairs(group: PermutationGroup, f: Transformation) -> PairCollapseAutomaton:
-    return PairCollapseAutomaton(group, f)
 
 
 @dataclass(frozen=True)
@@ -277,8 +272,7 @@ def shortest_word_length(group: PermutationGroup, f: Transformation) -> int | No
         return 1  # single point: any single letter is constant
     dist = {start: 0}
     queue = [start]
-    while queue:
-        state = queue.pop(0)
+    for state in queue:
         d = dist[state]
         for m in maps:
             nxt = 0
@@ -319,31 +313,7 @@ class OrbitCollapseSolver:
         self.pair_orbit = [ids[v * n + w] for v, w in self.pairs]
 
     def synchronizes_images(self, images) -> bool:
-        n = self.n
-        ids = self.orbit_ids
-        sink = 0
-        successors = [0] * self.orbit_count
-        for (v, w), o in zip(self.pairs, self.pair_orbit):
-            a = images[v]
-            b = images[w]
-            if a == b:
-                sink |= 1 << o
-            else:
-                if a > b:
-                    a, b = b, a
-                successors[o] |= 1 << ids[a * n + b]
-        collapsing = sink
-        changed = True
-        while changed:
-            changed = False
-            for o in range(self.orbit_count):
-                bit = 1 << o
-                if collapsing & bit:
-                    continue
-                if successors[o] & collapsing:
-                    collapsing |= bit
-                    changed = True
-        return collapsing == (1 << self.orbit_count) - 1
+        return self.collapsing_orbit_mask(images) == (1 << self.orbit_count) - 1
 
     def collapsing_orbit_mask(self, images) -> int:
         """Bitmask of pair orbits that collapse; complement spans the obstruction."""

@@ -316,6 +316,8 @@ def parse_transformation(text: str, degree: int | None = None) -> Transformation
         images = tuple(int(tok) - 1 for tok in tokens)
         if degree is not None and len(images) != degree:
             raise ValueError(f"expected degree {degree}, got {len(images)}")
+        if not all(0 <= x < len(images) for x in images):
+            raise ValueError(f"images must lie in 1..{len(images)}")
         return Transformation(images)
     return parse_cycles(text, degree)
 

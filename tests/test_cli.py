@@ -277,3 +277,38 @@ class TestScanAndClosure:
         with pytest.raises(SystemExit) as exc:
             run(capsys, "verify", "rystsov", "--max-degree", "4")
         assert str(exc.value) == message
+
+
+class TestBadInput:
+    """A malformed map or kernel type ends in one error line, not a traceback."""
+
+    @pytest.mark.parametrize("command", ["check", "word", "gr", "closure"])
+    @pytest.mark.parametrize(
+        "text,reason",
+        [
+            ("[1,1,9,4,5]", "images must lie in 1..5"),
+            ("[0,1,2,3,4]", "images must lie in 1..5"),
+            ("[1,1,3]", "expected degree 5, got 3"),
+            ("[1,x,3,4,5]", "invalid literal"),
+            ("(1,2", "could not parse permutation"),
+        ],
+    )
+    def test_bad_map(self, capsys, command, text, reason):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, command, "--group", "S5", "--map", text)
+        message = str(exc.value)
+        assert message.startswith(f"error: --map {text!r}: ")
+        assert reason in message
+        assert "\n" not in message
+
+    @pytest.mark.parametrize(
+        "text,reason",
+        [("2,2,x", "invalid literal"), ("0,5", "sizes must be positive")],
+    )
+    def test_bad_kernel_type(self, capsys, text, reason):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "scan", "--degree", "5", "--kernel-type", text)
+        message = str(exc.value)
+        assert message.startswith(f"error: --kernel-type {text!r}: ")
+        assert reason in message
+        assert "\n" not in message

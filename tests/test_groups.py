@@ -15,6 +15,9 @@ from synchrolab.groups import (
     BlockSystem,
     GroupTooLargeError,
     PermutationGroup,
+    act_on_blocks,
+    act_on_pair,
+    act_on_set,
     format_group_text,
     parse_group_text,
 )
@@ -50,6 +53,54 @@ class TestOrbits:
 
     def test_grid_transitive(self):
         assert grid_group(3).is_transitive()
+
+
+class TestOrbitWalker:
+    """PermutationGroup.orbit against the images of start under every element."""
+
+    @staticmethod
+    def starts(n):
+        halves = [tuple(range(0, n, 2)), tuple(range(1, n, 2))]
+        return [
+            (frozenset(range(n // 2)), act_on_set),
+            ((0, n - 1), act_on_pair),
+            (tuple(b for b in halves if b), act_on_blocks),
+        ]
+
+    @pytest.mark.parametrize("entry", build_catalog(8), ids=lambda e: e.name)
+    def test_words_reach_items_and_items_are_the_orbit(self, entry):
+        group = entry.group
+        elements = [g.images for g in group.elements()]
+        for start, act in self.starts(group.degree):
+            walked = list(group.orbit(start, act))
+            assert walked[0] == (start, ())
+            items = [item for item, _ in walked]
+            assert len(items) == len(set(items))
+            assert set(items) == {act(start, g) for g in elements}
+            for item, word in walked:
+                assert act(start, group.element(word).images) == item
+
+    def test_element_multiplies_left_to_right(self):
+        group = symmetric_group(4)
+        a, b = group.generators[:2]
+        assert group.element(()) == Transformation((0, 1, 2, 3))
+        assert group.element((0, 1)) == a * b
+        assert group.element((1, 0, 0)) == b * a * a
+
+    def test_walk_is_lazy(self):
+        # early exits rely on no item being moved before it is asked for
+        moved = []
+
+        def act(points, g):
+            moved.append(points)
+            return act_on_set(points, g)
+
+        group = symmetric_group(12)
+        walk = group.orbit(frozenset(range(6)), act)
+        assert next(walk) == (frozenset(range(6)), ())
+        assert moved == []
+        next(walk)
+        assert moved == [frozenset(range(6))] * len(group.generators)
 
 
 class TestMinimalBlock:
@@ -328,6 +379,17 @@ class TestStabilizers:
         elems = g.stabilizer_elements(1)
         assert len(elems) == 2
         assert all(e[0] == 0 for e in elems)
+
+    def test_stabilizer_elements_cached_per_prefix(self):
+        g = symmetric_group(5)
+        first = g.stabilizer_elements(2)
+        assert isinstance(first, tuple)
+        assert g.stabilizer_elements(2) is first
+        assert g.stabilizer_elements(3) is not first
+        assert len(first) == 6
+        # the cap is checked on every call, cached or not
+        with pytest.raises(GroupTooLargeError):
+            g.stabilizer_elements(2, cap=5)
 
     def test_transitivity_degree(self):
         assert symmetric_group(5).transitivity_degree() == 5

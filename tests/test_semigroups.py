@@ -254,6 +254,34 @@ class TestFindRankPreserving:
             assert compose(compose(f, mine), f).rank() == f.rank()
 
 
+class TestOrbitCaps:
+    """The caps count orbit sets tested; an answer needing more sets refuses."""
+
+    # C6 moves the image {1,2,3} of [1,1,2,2,3,3] through six sets, none a
+    # transversal of {1,2},{3,4},{5,6}: the whole orbit is walked
+    NONE_GROUP = cyclic_group(6)
+    NONE_MAP = t(1, 1, 2, 2, 3, 3)
+
+    def test_rank_preserving_cap_below_orbit(self):
+        size = len(self.NONE_GROUP.set_orbit(self.NONE_MAP.image()))
+        assert size == 6
+        with pytest.raises(GroupTooLargeError):
+            find_rank_preserving_g(self.NONE_GROUP, self.NONE_MAP, cap=size - 1)
+        assert find_rank_preserving_g(self.NONE_GROUP, self.NONE_MAP, cap=size) is None
+
+    def test_rank_preserving_cap_at_orbit_keeps_answer(self):
+        size = len(GRID.set_orbit(GRID_PROJECTION.image()))
+        found = find_rank_preserving_g(GRID, GRID_PROJECTION)
+        assert find_rank_preserving_g(GRID, GRID_PROJECTION, cap=size) == found
+
+    def test_section_cap_below_orbit(self):
+        size = len(GRID.set_orbit([0, 4, 8]))
+        assert size > 1
+        with pytest.raises(GroupTooLargeError):
+            is_group_section(GRID, [0, 4, 8], ROWS, cap=size - 1)
+        assert is_group_section(GRID, [0, 4, 8], ROWS, cap=size)
+
+
 class TestIdempotentSameKernel:
     def test_idempotent_with_identity(self):
         f = t(1, 1, 3)

@@ -6,6 +6,7 @@ import pytest
 
 from synchrolab.catalog import (
     alternating_group,
+    build_catalog,
     cyclic_group,
     dihedral_group,
     grid_group,
@@ -15,6 +16,7 @@ from synchrolab.catalog import (
 from synchrolab.sweeps import (
     assignment_representatives,
     canonical_instance,
+    canonical_kernel,
     count_instances_of_type,
     idempotent_instances_of_type,
     instances_of_type,
@@ -32,6 +34,20 @@ def all_maps_of_type(n, kt):
     for blocks in partitions_of_type(kt):
         for assignment in itertools.permutations(range(n), kt.rank):
             yield Transformation(map_from_assignment(blocks, assignment))
+
+
+def reference_orbit(group, partition):
+    """Orbit of a partition under the group through Partition.apply."""
+    orbit = {partition.blocks}
+    queue = [partition]
+    while queue:
+        cur = queue.pop()
+        for g in group.generators:
+            moved = cur.apply(g)
+            if moved.blocks not in orbit:
+                orbit.add(moved.blocks)
+                queue.append(moved)
+    return orbit
 
 
 class TestPartitionEnumeration:
@@ -72,15 +88,7 @@ class TestKernelRepresentatives:
         cols = Partition.from_blocks(9, [[0, 3, 6], [1, 4, 7], [2, 5, 8]])
         covered = set()
         for rep in reps:
-            orbit = {rep.blocks}
-            queue = [rep]
-            while queue:
-                cur = queue.pop()
-                for g in grid_group(3).generators:
-                    moved = cur.apply(g)
-                    if moved.blocks not in orbit:
-                        orbit.add(moved.blocks)
-                        queue.append(moved)
+            orbit = reference_orbit(grid_group(3), rep)
             covered |= orbit
             if rows.blocks in orbit:
                 assert cols.blocks in orbit
@@ -94,17 +102,46 @@ class TestKernelRepresentatives:
         total = sum(1 for _ in partitions_of_type(kt))
         sizes = 0
         for rep in reps:
-            orbit = {rep.blocks}
-            queue = [rep]
-            while queue:
-                cur = queue.pop()
-                for g in group.generators:
-                    moved = cur.apply(g)
-                    if moved.blocks not in orbit:
-                        orbit.add(moved.blocks)
-                        queue.append(moved)
-            sizes += len(orbit)
+            sizes += len(reference_orbit(group, rep))
         assert sizes == total
+
+
+SMALL_CATALOG = list(build_catalog(7))
+
+
+def all_kernel_types(n):
+    return [kt for rank in range(1, n + 1) for kt in kernel_types_of_rank(n, rank)]
+
+
+class TestKernelOrbitWalk:
+    @pytest.mark.parametrize("entry", SMALL_CATALOG, ids=lambda e: e.name)
+    def test_reps_are_orbit_minima_in_first_seen_order(self, entry):
+        group = entry.group
+        n = group.degree
+        for kt in all_kernel_types(n):
+            expected = []
+            seen = set()
+            for p in partitions_of_type(kt):
+                if p.blocks not in seen:
+                    orbit = reference_orbit(group, p)
+                    seen |= orbit
+                    expected.append(min(orbit))
+            assert [r.blocks for r in kernel_orbit_representatives(group, kt)] == expected
+
+    @pytest.mark.parametrize("entry", SMALL_CATALOG, ids=lambda e: e.name)
+    def test_canonical_kernel_returns_rep_and_mover(self, entry):
+        group = entry.group
+        n = group.degree
+        elements = group.elements()
+        rng = random.Random(f"canonical-kernel:{entry.name}")
+        for kt in all_kernel_types(n):
+            for rep in kernel_orbit_representatives(group, kt):
+                for _ in range(3):
+                    moved = rep.apply(rng.choice(elements))
+                    best, u = canonical_kernel(group, moved)
+                    assert best == rep
+                    assert group.contains(u)
+                    assert moved.apply(u) == rep
 
 
 class TestAssignmentRepresentatives:
