@@ -8,23 +8,21 @@ closure cap. verify exits 0 on pass, 1 when a counterexample was found and
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
 
 from .catalog import build_catalog, catalog_by_name
-from .experiments import THEOREMS, Budget, verify_theorem
+from .experiments import THEOREMS, Budget, InstanceRecord, verify_theorem
 from .groups import PermutationGroup, load_group_file
-from .reports import report_emit
+from .reports import instance_record_json, report_emit
 from .semigroups import (
     DEFAULT_CLOSURE_CAP,
-    depth as depth_of,
     group_and_map_closure,
     regular_partition_witnesses,
 )
 from .sweeps import instances_of_type, kernel_types_of_rank
-from .sync import cerny_bound, synchronizes
+from .sync import SyncVerdict, cerny_bound, synchronizes
 from .transformations import (
     KernelType,
     Transformation,
@@ -78,6 +76,22 @@ def _parse_map(text: str, group: PermutationGroup) -> Transformation:
     )
 
 
+def _verdict_json(
+    group: str, f: Transformation, verdict: SyncVerdict, note: str = ""
+) -> str:
+    """The one-line JSON instance record of a verdict, as verify reports write it."""
+    word = verdict.witness_word
+    record = InstanceRecord(
+        group=group,
+        map_text=format_transformation(f),
+        verdict=verdict.synchronizes,
+        min_rank=verdict.min_rank_bound,
+        word_length=len(word) if word else None,
+        note=note,
+    )
+    return instance_record_json(record)
+
+
 def _add_instance_args(p: argparse.ArgumentParser):
     p.add_argument("--group", required=True, help="group file or catalog name")
     p.add_argument("--map", required=True, help="map as [i1,...,in] (1-based) or cycles")
@@ -114,7 +128,6 @@ def cmd_check(args) -> int:
     name, group = _load_group(args.group)
     f = _parse_map(args.map, group)
     verdict = synchronizes(group, f)
-    word_len = len(verdict.witness_word) if verdict.witness_word else None
     print(
         f"{name}: {'synchronizes' if verdict.synchronizes else 'does NOT synchronize'} "
         f"{format_transformation(f)}"
@@ -130,16 +143,7 @@ def cmd_check(args) -> int:
         )
     if args.emit_dot:
         Path(args.emit_dot).write_text(verdict.obstruction.to_dot())
-    record = {
-        "group": name,
-        "map": format_transformation(f),
-        "verdict": verdict.synchronizes,
-        "min_rank": verdict.min_rank_bound,
-        "word_length": word_len,
-        "timings": None,
-        "note": verdict.note or "",
-    }
-    print(json.dumps(record, separators=(",", ":")))
+    print(_verdict_json(name, f, verdict, verdict.note or ""))
     return 0
 
 
@@ -187,8 +191,8 @@ def cmd_depth(args) -> int:
         print(f"{name}: no nontrivial stable-section partition sizes; depth = inf")
         return 0
     sizes = [w.size for w in witnesses]
-    d = depth_of(group, allow_nonuniform=args.allow_nonuniform)
-    print(f"{name}: sizes {sizes}, depth = {d if d is not None else 'inf'}")
+    d = sizes[1] - sizes[0] if len(sizes) > 1 else "inf"
+    print(f"{name}: sizes {sizes}, depth = {d}")
     for w in witnesses:
         section = ",".join(str(x + 1) for x in w.section)
         print(f"  size {w.size}: partition {w.partition} section {{{section}}}")
@@ -217,19 +221,7 @@ def cmd_scan(args) -> int:
         for kt in types:
             for inst in instances_of_type(entry.group, kt):
                 f = inst.transformation()
-                verdict = synchronizes(entry.group, f)
-                record = {
-                    "group": entry.name,
-                    "map": format_transformation(f),
-                    "verdict": verdict.synchronizes,
-                    "min_rank": verdict.min_rank_bound,
-                    "word_length": (
-                        len(verdict.witness_word) if verdict.witness_word else None
-                    ),
-                    "timings": None,
-                    "note": "",
-                }
-                print(json.dumps(record, separators=(",", ":")))
+                print(_verdict_json(entry.name, f, synchronizes(entry.group, f)))
     return 0
 
 

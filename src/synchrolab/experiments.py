@@ -8,6 +8,12 @@ claim held. A run produces an ExperimentReport whose status is:
 - inconclusive  the time or instance budget ran out first;
 - pass          the sweep completed with zero counterexamples.
 
+Every sweep runs its instances through one loop, _Sweeper.unsynchronized,
+which ticks the budget once per instance and yields those the orbit solver
+does not synchronize. The sweeps over (k,1,...,1) maps share one body:
+`imprimitivity-char` takes every k from 2 to n-1, and `rystsov` (primitive
+iff every rank n-1 map synchronizes) is its k = 2 case.
+
 Every counterexample is re-verified against the brute-force closure
 oracle before being reported, so a fast-path bug cannot fabricate one.
 Expected failures (witnesses, e.g. the imprimitive constructions) are
@@ -16,7 +22,7 @@ re-verified the same way.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .catalog import CatalogEntry, build_catalog, verify_entry
 from .graphs import complete_multipartite, witness_map_for_block
@@ -38,7 +44,6 @@ from .transformations import (
     KernelType,
     Transformation,
     format_transformation,
-    identity,
 )
 
 WITNESS_ORACLE_CAP = 300_000
@@ -99,7 +104,6 @@ class _Sweeper:
         self.cap = cap
         self.started = time.monotonic()
         self._solvers: dict[int, OrbitCollapseSolver] = {}
-        self.rank_preserving_pairs: list[tuple[str, Transformation, Transformation]] = []
 
     def solver(self, entry: CatalogEntry) -> OrbitCollapseSolver:
         key = id(entry.group)
@@ -147,13 +151,17 @@ class _Sweeper:
             note=note,
         )
 
-    def expect_synchronized(self, entry: CatalogEntry, instances) -> None:
-        """Sweep instances that the claim says must synchronize."""
+    def unsynchronized(self, entry: CatalogEntry, instances):
+        """Tick once per instance; yield those the orbit solver does not synchronize."""
         solver = self.solver(entry)
         for inst in instances:
             self.tick()
-            if solver.synchronizes_images(inst.images):
-                continue
+            if not solver.synchronizes_images(inst.images):
+                yield inst
+
+    def expect_synchronized(self, entry: CatalogEntry, instances) -> None:
+        """Sweep instances that the claim says must synchronize."""
+        for inst in self.unsynchronized(entry, instances):
             record = self.confirm_not_synchronizing(entry, inst.transformation())
             self.report.counterexamples.append(record)
 
@@ -174,15 +182,7 @@ class _Sweeper:
             )
             return
         record = self.confirm_not_synchronizing(entry, f)
-        self.report.witnesses.append(
-            InstanceRecord(
-                group=record.group,
-                map_text=record.map_text,
-                verdict=record.verdict,
-                min_rank=record.min_rank,
-                note=f"{context}; {record.note}",
-            )
-        )
+        self.report.witnesses.append(replace(record, note=f"{context}; {record.note}"))
 
 
 def _entries(max_degree: int, min_degree: int = 3) -> list[CatalogEntry]:
@@ -192,11 +192,12 @@ def _entries(max_degree: int, min_degree: int = 3) -> list[CatalogEntry]:
     return entries
 
 
+def _primitive_entries(max_degree: int, min_degree: int = 3) -> list[CatalogEntry]:
+    return [e for e in _entries(max_degree, min_degree) if e.expected.primitive]
+
+
 def _max_block_size(entry: CatalogEntry) -> int:
-    systems = entry.group.block_systems()
-    if not systems:
-        return 1
-    return max(s.block_size for s in systems)
+    return max((s.block_size for s in entry.group.block_systems()), default=1)
 
 
 def _block_witness(entry: CatalogEntry, k: int) -> Transformation:
@@ -214,43 +215,68 @@ def _block_witness(entry: CatalogEntry, k: int) -> Transformation:
     return f
 
 
-def _sweep_rystsov(sw: _Sweeper, max_degree: int):
-    """Primitivity is equivalent to synchronizing every map of rank n-1."""
+def _sweep_block_collapse(sw: _Sweeper, max_degree: int, k_range, label: str):
+    """Blocks of size >= k exist iff some (k,1,...,1) map fails to synchronize.
+
+    k runs over k_range(n); label, formatted with k, names each witness.
+    """
     for entry in _entries(max_degree):
         n = entry.degree
-        kt = KernelType(tuple([2] + [1] * (n - 2)))
-        if entry.expected.primitive:
-            sw.expect_synchronized(entry, instances_of_type(entry.group, kt))
-        else:
-            sw.expect_witness_failure(
-                entry, _block_witness(entry, 2), "rank n-1 block collapse"
-            )
+        bmax = _max_block_size(entry)
+        for k in k_range(n):
+            if k <= bmax:
+                sw.expect_witness_failure(entry, _block_witness(entry, k), label.format(k=k))
+            else:
+                kt = KernelType(tuple([k] + [1] * (n - k)))
+                sw.expect_synchronized(entry, instances_of_type(entry.group, kt))
+
+
+def _sweep_rystsov(sw: _Sweeper, max_degree: int):
+    """Primitivity is equivalent to synchronizing every map of rank n-1.
+
+    The k = 2 case of imprimitivity-char: for k = 2, k <= max block size
+    holds exactly for the imprimitive groups.
+    """
+    _sweep_block_collapse(sw, max_degree, lambda n: (2,), "rank n-1 block collapse")
 
 
 def _sweep_imprimitivity_char(sw: _Sweeper, max_degree: int):
     """Blocks of size >= k exist iff some (k,1,...,1) map fails to synchronize."""
-    for entry in _entries(max_degree):
-        n = entry.degree
-        bmax = _max_block_size(entry)
-        for k in range(2, n):
-            kt = KernelType(tuple([k] + [1] * (n - k)))
-            if k <= bmax:
-                sw.expect_witness_failure(
-                    entry, _block_witness(entry, k), f"block collapse k={k}"
-                )
-            else:
-                sw.expect_synchronized(entry, instances_of_type(entry.group, kt))
+    _sweep_block_collapse(sw, max_degree, lambda n: range(2, n), "block collapse k={k}")
+
+
+def _expect_types_synchronized(
+    sw: _Sweeper, max_degree: int, kernel_types, min_degree: int = 3
+):
+    """Every primitive entry synchronizes every map of kernel_types(n)."""
+    for entry in _primitive_entries(max_degree, min_degree):
+        for kt in kernel_types(entry.degree):
+            sw.expect_synchronized(entry, instances_of_type(entry.group, kt))
 
 
 def _sweep_rank_n2(sw: _Sweeper, max_degree: int):
     """Primitive groups synchronize every map of rank n-2."""
-    for entry in _entries(max_degree, min_degree=4):
-        if not entry.expected.primitive:
-            continue
-        n = entry.degree
-        for sizes in ([3] + [1] * (n - 3), [2, 2] + [1] * (n - 4)):
-            kt = KernelType(tuple(sizes))
-            sw.expect_synchronized(entry, instances_of_type(entry.group, kt))
+    _expect_types_synchronized(
+        sw, max_degree, lambda n: kernel_types_of_rank(n, n - 2), min_degree=4
+    )
+
+
+def _sweep_small_ranks(sw: _Sweeper, max_degree: int):
+    """Rank 2 always; non-uniform ranks 3 and 4 (primitive groups).
+
+    Uniform maps of rank 3 or 4 may legitimately fail, so they are skipped.
+    """
+    _expect_types_synchronized(
+        sw,
+        max_degree,
+        lambda n: [
+            kt
+            for rank in (2, 3, 4)
+            if rank < n
+            for kt in kernel_types_of_rank(n, rank)
+            if rank == 2 or not kt.is_uniform()
+        ],
+    )
 
 
 def _type_32(n: int) -> KernelType:
@@ -259,49 +285,23 @@ def _type_32(n: int) -> KernelType:
 
 def _sweep_idempotent_32(sw: _Sweeper, max_degree: int):
     """Primitive groups synchronize every idempotent of type (3,2,1,...,1)."""
-    for entry in _entries(max_degree, min_degree=5):
-        if not entry.expected.primitive:
-            continue
+    for entry in _primitive_entries(max_degree, min_degree=5):
         kt = _type_32(entry.degree)
         for inst in idempotent_instances_of_type(entry.group, kt):
-            f = inst.transformation()
-            if not f.is_idempotent():
+            if not inst.transformation().is_idempotent():
                 raise AssertionError("idempotent enumeration produced a non-idempotent")
-            sw.rank_preserving_pairs.append(
-                (entry.name, f, identity(entry.degree))
-            )
             sw.expect_synchronized(entry, [inst])
 
 
 def _sweep_rankpres_32(sw: _Sweeper, max_degree: int):
     """Type (3,2,1,...,1) maps with a rank-preserving group element synchronize."""
-    for entry in _entries(max_degree, min_degree=5):
-        if not entry.expected.primitive:
-            continue
+    for entry in _primitive_entries(max_degree, min_degree=5):
         kt = _type_32(entry.degree)
         for inst in instances_of_type(entry.group, kt):
-            f = inst.transformation()
-            g = find_rank_preserving_g(entry.group, f)
-            if g is None:
+            if find_rank_preserving_g(entry.group, inst.transformation()) is None:
                 sw.tick()
-                continue
-            sw.rank_preserving_pairs.append((entry.name, f, g))
-            sw.expect_synchronized(entry, [inst])
-
-
-def _sweep_small_ranks(sw: _Sweeper, max_degree: int):
-    """Rank 2 always; non-uniform ranks 3 and 4 (primitive groups)."""
-    for entry in _entries(max_degree):
-        if not entry.expected.primitive:
-            continue
-        n = entry.degree
-        for rank in (2, 3, 4):
-            if rank >= n:
-                continue
-            for kt in kernel_types_of_rank(n, rank):
-                if rank > 2 and kt.is_uniform():
-                    continue  # uniform maps may legitimately fail
-                sw.expect_synchronized(entry, instances_of_type(entry.group, kt))
+            else:
+                sw.expect_synchronized(entry, [inst])
 
 
 def grid_projection(m: int = 3) -> Transformation:
@@ -312,8 +312,7 @@ def grid_projection(m: int = 3) -> Transformation:
 
 def _sweep_grid_counterexample(sw: _Sweeper, max_degree: int):
     """The 3x3 grid group fails on the row-kernel diagonal projection."""
-    entries = [e for e in _entries(max(9, max_degree)) if e.name == "grid-3"]
-    entry = entries[0]
+    entry = next(e for e in _entries(max(9, max_degree)) if e.name == "grid-3")
     f = grid_projection(3)
     sw.tick()
     verdict = synchronizes(entry.group, f)
@@ -362,13 +361,11 @@ def _nonsync_closure_instances(sw: _Sweeper, max_degree: int):
     """Closures of non-synchronized primitive instances, for spectrum sweeps.
 
     Instance family: all uniform kernel types (the only ones a primitive
-    group can fail on) plus every type of rank 2 and 3.
+    group can fail on) plus every non-uniform type of rank 2 and 3. The
+    types are distinct: uniform ones differ in block count.
     """
-    for entry in _entries(max_degree):
-        if not entry.expected.primitive:
-            continue
+    for entry in _primitive_entries(max_degree):
         n = entry.degree
-        solver = sw.solver(entry)
         types = []
         for s in range(2, n):
             if n % s == 0:
@@ -378,15 +375,8 @@ def _nonsync_closure_instances(sw: _Sweeper, max_degree: int):
                 types.extend(
                     kt for kt in kernel_types_of_rank(n, rank) if not kt.is_uniform()
                 )
-        seen = set()
         for kt in types:
-            if kt in seen:
-                continue
-            seen.add(kt)
-            for inst in instances_of_type(entry.group, kt):
-                sw.tick()
-                if solver.synchronizes_images(inst.images):
-                    continue
+            for inst in sw.unsynchronized(entry, instances_of_type(entry.group, kt)):
                 f = inst.transformation()
                 try:
                     c = group_and_map_closure(entry.group, f, cap=sw.cap)
@@ -473,11 +463,8 @@ def _sweep_lemma41_diagnostic(sw: _Sweeper, max_degree: int):
     unique neighbour in the other.
     """
     found = 0
-    for entry in _entries(max_degree):
-        if not entry.expected.primitive:
-            continue
+    for entry in _primitive_entries(max_degree):
         n = entry.degree
-        solver = sw.solver(entry)
         types = []
         for p in range(2, n - 1):
             for q in range(2, p + 1):
@@ -486,10 +473,7 @@ def _sweep_lemma41_diagnostic(sw: _Sweeper, max_degree: int):
                         KernelType(tuple(sorted([p, q] + [1] * (n - p - q), reverse=True)))
                     )
         for kt in types:
-            for inst in instances_of_type(entry.group, kt):
-                sw.tick()
-                if solver.synchronizes_images(inst.images):
-                    continue
+            for inst in sw.unsynchronized(entry, instances_of_type(entry.group, kt)):
                 found += 1
                 f = inst.transformation()
                 record = sw.confirm_not_synchronizing(entry, f)
@@ -602,9 +586,7 @@ def harvest_rank_preserving_pairs(
         type_pool = []
         if n >= 5:
             type_pool.append(_type_32(n))
-        type_pool.extend(
-            kt for kt in kernel_types_of_rank(n, max(2, n - 2))
-        )
+        type_pool.extend(kernel_types_of_rank(n, max(2, n - 2)))
         for kt in type_pool:
             for inst in instances_of_type(entry.group, kt):
                 f = inst.transformation()

@@ -194,12 +194,17 @@ def idempotent_instances_of_type(
 def canonical_instance(
     group: PermutationGroup, f: Transformation
 ) -> tuple[Partition, tuple[int, ...]]:
-    """A (kernel, assignment) key shared by maps generating the same semigroup.
+    """A (kernel, assignment) key; equal keys mean the same generated semigroup.
 
     Two maps with equal keys are two-sided translates of one another, so
-    their generated semigroups are equal as sets. The key is the kernel
-    representative from kernel_orbit_representatives plus a right-translate
-    normalised assignment, so closure results can be cached per key.
+    their generated semigroups are equal as sets and closure results can be
+    cached per key. The key is the kernel representative from
+    kernel_orbit_representatives plus a right-translate normalised
+    assignment. It is not canonical: the assignment is read in the block
+    order of the representative, and the setwise stabilizer of the
+    representative, which can permute those blocks, is not factored out.
+    So two translates of one map can get different keys; a cache keyed by
+    it then repeats a closure, but never shares one wrongly.
     """
     kernel, u = canonical_kernel(group, f.kernel())
     # ker(u^-1 * f) = ker(f) * u = kernel

@@ -93,6 +93,16 @@ class TestCheck:
         with pytest.raises(SystemExit):
             run(capsys, "check", "--group", "no-such-thing", "--map", "[1,1]")
 
+    def test_json_line_bytes(self, capsys):
+        # the same record, key order and separators that verify reports use
+        code, out, _ = run(capsys, "check", "--group", "C6", "--map", "[2,3,4,5,6,1]")
+        assert code == 0
+        assert out.splitlines()[-1] == (
+            '{"group":"C6","map":"[2,3,4,5,6,1]","verdict":false,"min_rank":6,'
+            '"word_length":null,"timings":null,'
+            '"note":"map is a permutation; it can only synchronize when the degree is 1"}'
+        )
+
 
 class TestWordAndGraph:
     def test_word_output(self, capsys):
@@ -207,6 +217,16 @@ class TestScanAndClosure:
         assert all(r["group"] in {"S4", "A4", "C4", "PGL(2,3)", "grid-2"} for r in records)
         c4 = [r for r in records if r["group"] == "C4"]
         assert any(not r["verdict"] for r in c4)
+
+    def test_scan_json_line_bytes(self, capsys):
+        code, out, _ = run(
+            capsys, "scan", "--max-degree", "6", "--degree", "6", "--kernel-type", "2,2,2"
+        )
+        assert code == 0
+        assert (
+            '{"group":"C6","map":"[1,1,3,3,5,5]","verdict":false,"min_rank":3,'
+            '"word_length":null,"timings":null,"note":""}'
+        ) in out.splitlines()
 
     def test_scan_rank_filter(self, capsys):
         code, out, _ = run(

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from synchrolab.experiments import (
@@ -117,6 +119,37 @@ class TestReports:
         report = verify_theorem("grid-counterexample", max_degree=9, budget=QUICK)
         with pytest.raises(ValueError):
             report_emit(report, "xml")
+
+
+# SHA-256 of each sweep's jsonl report, recorded before the sweeps were
+# folded onto one instance loop; a refactor must not move a count, witness
+# or note. no-rank-r-plus-1 and split-one-part run at degree 9, the lowest
+# degree with closures to check (the two grid-3 ones).
+REPORT_DIGESTS = [
+    ("rystsov", 8, "39c891ea5e8ec77c73183fbcec18d42a60805faba86116fd37b0b0fd6a455afc"),
+    ("imprimitivity-char", 8, "355bf48e48e9a83b72f9524e8038ebdb3c5c8db267ea434a86c304b207181f3c"),
+    ("rank-n-2", 8, "2cc810596f12d7d129ad749be2d35d87e97e1494fcc6cceac2b4fcfa71511980"),
+    ("idempotent-32", 8, "b354d4fbc3d2adf701a0f1d3f47b6dcef1ba8fa1e11e44907c78ec216206dccf"),
+    ("rankpres-32", 8, "0df7fd94423a96f8569b4112be7b48e30bbfa124a927fd1b0afa61d75e1a3cec"),
+    ("small-ranks", 8, "8dd8d81822d834fc62258b9c7d2bafc035dc4cb1813f2467d445e4bd07ae1d74"),
+    ("grid-counterexample", 8, "74581b369289e80855dba4fb6cdd1f4cc0a43f36f7528eb08e188c6a01538ccb"),
+    ("lemma41-diagnostic", 8, "4193ba68954a99174756639547f13bc092b932a5da9c1cf71e6888f87e3afa48"),
+    ("no-rank-r-plus-1", 9, "cdbff17a1d1fb7a018b891f206c624e4d760135316ca1d1b9462cf453962d605"),
+    ("split-one-part", 9, "d14d0e1eea27d3087cb7e68b43646fd6c5af560e3f65966da0827d1e52a801ab"),
+]
+
+
+class TestPinnedReports:
+    def test_every_id_is_pinned(self):
+        assert {theorem_id for theorem_id, _, _ in REPORT_DIGESTS} == set(THEOREMS)
+
+    @pytest.mark.parametrize(
+        "theorem_id,degree,digest", REPORT_DIGESTS, ids=[t for t, _, _ in REPORT_DIGESTS]
+    )
+    def test_report_bytes(self, theorem_id, degree, digest):
+        report = verify_theorem(theorem_id, max_degree=degree, budget=QUICK)
+        text = report_emit(report, "jsonl")
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, text
 
 
 class TestHarvest:

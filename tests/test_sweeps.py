@@ -13,6 +13,7 @@ from synchrolab.catalog import (
     projective_linear_group,
     symmetric_group,
 )
+from synchrolab.semigroups import group_and_map_closure
 from synchrolab.sweeps import (
     assignment_representatives,
     canonical_instance,
@@ -206,6 +207,44 @@ class TestReductionSoundness:
                 group, Transformation(map_from_assignment(kernel, assignment))
             )
             assert again == (kernel, assignment)
+
+
+class TestCanonicalInstanceKeys:
+    """Equal keys must mean equal closures, or a closure cache would lie.
+
+    The key is not canonical, so translates of one map may get different
+    keys; that only costs repeated closures and is not asserted here.
+    """
+
+    @pytest.mark.parametrize(
+        "name,group",
+        [
+            ("C4", cyclic_group(4)),
+            ("C6", cyclic_group(6)),
+            ("D5", dihedral_group(5)),
+            ("S4", symmetric_group(4)),
+            ("grid-2", grid_group(2)),
+        ],
+    )
+    def test_equal_keys_have_equal_closures(self, name, group):
+        n = group.degree
+        rng = random.Random(f"canonical-key:{name}")
+        elements = group.elements()
+        by_key = {}
+        for _ in range(30):
+            f = Transformation(tuple(rng.randrange(n) for _ in range(n)))
+            for _ in range(5):
+                g = rng.choice(elements) * f * rng.choice(elements)
+                kernel, assignment = canonical_instance(group, g)
+                by_key.setdefault((kernel.blocks, assignment), {})[g.images] = g
+        compared = 0
+        for maps in by_key.values():
+            first, *rest = maps.values()
+            expected = set(map(bytes, group_and_map_closure(group, first).matrix))
+            for g in rest:
+                assert set(map(bytes, group_and_map_closure(group, g).matrix)) == expected
+                compared += 1
+        assert compared >= 50
 
 
 class TestIdempotentInstances:
