@@ -3,7 +3,9 @@
 Subcommands: catalog list|show, check, word, gr, verify, depth, scan,
 closure. The environment variable SYNCHROLAB_CAP overrides the default
 closure cap. verify exits 0 on pass, 1 when a counterexample was found and
-2 when the budget ran out (inconclusive).
+2 when the budget ran out (inconclusive). When the reader of the output
+goes away (``| head``), every subcommand stops quietly with exit 141, the
+status of a process ended by SIGPIPE.
 """
 from __future__ import annotations
 
@@ -24,6 +26,7 @@ from .semigroups import (
 from .sweeps import instances_of_type, kernel_types_of_rank
 from .sync import SyncVerdict, cerny_bound, synchronizes
 from .transformations import (
+    MAX_DEGREE,
     KernelType,
     Transformation,
     format_cycles,
@@ -60,6 +63,15 @@ def _load_group(spec: str) -> tuple[str, PermutationGroup]:
     raise SystemExit(
         f"error: {spec!r} is neither a readable file nor a catalog entry name"
     )
+
+
+def _max_degree(value: int) -> int:
+    """The --max-degree value, or one error line when the catalog cannot reach it."""
+    if value > MAX_DEGREE:
+        raise SystemExit(
+            f"error: --max-degree {value}: catalog degrees stop at {MAX_DEGREE}"
+        )
+    return value
 
 
 def _parse_arg(flag: str, text: str, parse):
@@ -99,7 +111,7 @@ def _add_instance_args(p: argparse.ArgumentParser):
 
 def cmd_catalog(args) -> int:
     if args.action == "list":
-        for entry in build_catalog(args.max_degree):
+        for entry in build_catalog(_max_degree(args.max_degree)):
             exp = entry.expected
             print(
                 f"{entry.name:<12} degree {entry.degree:<3} "
@@ -178,7 +190,8 @@ def cmd_gr(args) -> int:
 def cmd_verify(args) -> int:
     budget = Budget(seconds=args.budget_seconds, max_instances=args.max_instances)
     report = verify_theorem(
-        args.id, max_degree=args.max_degree, budget=budget, cap=_closure_cap()
+        args.id, max_degree=_max_degree(args.max_degree), budget=budget,
+        cap=_closure_cap(),
     )
     sys.stdout.write(report_emit(report, args.format, include_timings=args.timings))
     return {"pass": 0, "fail": 1, "inconclusive": 2}[report.status]
@@ -200,7 +213,7 @@ def cmd_depth(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    entries = build_catalog(args.max_degree)
+    entries = build_catalog(_max_degree(args.max_degree))
     if args.degree:
         entries = [e for e in entries if e.degree == args.degree]
     wanted_type = None
@@ -305,7 +318,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except BrokenPipeError:
+        # stdout now points at nothing, so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

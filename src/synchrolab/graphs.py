@@ -256,51 +256,56 @@ def _max_clique_mask(
     """Bitmask of a maximum clique (or one of size >= stop_at, if given).
 
     Straightforward branch and bound: candidates ordered by degree, greedy
-    colouring of the candidate set as the pruning bound.
+    colouring of the candidate set as the pruning bound. The search state
+    is passed explicitly, with no nested functions, so a call leaves no
+    reference cycles behind for the garbage collector.
     """
     if allowed is None:
         allowed = (1 << n) - 1
     order = sorted(_bits(allowed), key=lambda v: (-(rows[v] & allowed).bit_count(), v))
-    best = {"mask": 0, "size": 0}
+    best = [0, 0]  # mask, size
+    _expand_clique(rows, order, n + 1 if stop_at is None else stop_at, best, 0, 0, allowed)
+    return best[0]
 
-    def colour_bound(cand: int) -> int:
-        colours = 0
-        remaining = cand
-        while remaining:
-            colours += 1
-            cell = 0
-            pool = remaining
-            while pool:
-                v = (pool & -pool).bit_length() - 1
-                pool &= pool - 1
-                if not (rows[v] & cell):
-                    cell |= 1 << v
-            remaining &= ~cell
-        return colours
 
-    def expand(current: int, size: int, cand: int):
-        if stop_at is not None and best["size"] >= stop_at:
+def _expand_clique(
+    rows: Sequence[int], order: list[int], stop_at: int, best: list[int],
+    current: int, size: int, cand: int,
+):
+    """Grow ``current`` from ``cand``; ``best`` holds the largest clique so far."""
+    if best[1] >= stop_at:
+        return
+    if not cand:
+        if size > best[1]:
+            best[0], best[1] = current, size
+        return
+    if size + _colour_bound(rows, cand) <= best[1]:
+        return
+    for v in order:
+        bit = 1 << v
+        if not cand & bit:
+            continue
+        _expand_clique(rows, order, stop_at, best, current | bit, size + 1, cand & rows[v])
+        cand &= ~bit
+        if size + cand.bit_count() <= best[1] or best[1] >= stop_at:
             return
-        if not cand:
-            if size > best["size"]:
-                best["size"] = size
-                best["mask"] = current
-            return
-        if size + colour_bound(cand) <= best["size"]:
-            return
-        for v in order:
-            bit = 1 << v
-            if not cand & bit:
-                continue
-            expand(current | bit, size + 1, cand & rows[v])
-            cand &= ~bit
-            if size + cand.bit_count() <= best["size"]:
-                return
-            if stop_at is not None and best["size"] >= stop_at:
-                return
 
-    expand(0, 0, allowed)
-    return best["mask"]
+
+def _colour_bound(rows: Sequence[int], cand: int) -> int:
+    """Colours a greedy colouring of ``cand`` uses: a bound on its clique size."""
+    colours = 0
+    remaining = cand
+    while remaining:
+        colours += 1
+        cell = 0
+        pool = remaining
+        while pool:
+            v = (pool & -pool).bit_length() - 1
+            pool &= pool - 1
+            if not (rows[v] & cell):
+                cell |= 1 << v
+        remaining &= ~cell
+    return colours
 
 
 def _colourable(g: Graph, k: int) -> list[int] | None:

@@ -358,10 +358,7 @@ class PermutationGroup:
         """All nontrivial block systems, smallest block size first."""
         if not self.is_transitive():
             raise ValueError("block systems require a transitive group")
-        systems = []
-        for blk in self._nontrivial_blocks_with_zero:
-            systems.append(BlockSystem.from_block(self, blk))
-        return systems
+        return list(self._block_systems)
 
     def order(self) -> int:
         return self._chain.order()
@@ -408,6 +405,12 @@ class PermutationGroup:
                         ids[a * n + b] = count
                     count += 1
         return ids, count
+
+    @cached_property
+    def _block_systems(self) -> tuple["BlockSystem", ...]:
+        return tuple(
+            BlockSystem.from_block(self, blk) for blk in self._nontrivial_blocks_with_zero
+        )
 
     def pair_orbits(self) -> list[list[tuple[int, int]]]:
         """Orbits on unordered point pairs, cells ordered by smallest pair."""

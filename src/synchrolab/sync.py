@@ -2,26 +2,35 @@
 
 The decision procedure works on unordered point pairs: a pair is
 *collapsible* when some word over the group generators and the extra map
-sends both points to one point. The backward-reachability closure of the
-directly-collapsed pairs gives the full collapsible set in O(n^2 * letters)
-time, with no semigroup enumeration.
+sends both points to one point. A level BFS in numpy, backwards from the
+pairs one letter collapses, finds every collapsible pair and a shortest
+collapse word for each, with no semigroup enumeration.
 
 The complement of the collapsible set is the edge set of the *obstruction
 graph*: the group synchronizes the map exactly when that graph has no
-edges, every element of the generated semigroup is an endomorphism of it,
-and its clique number equals its chromatic number equals the minimum rank
-in the semigroup. Those identities are asserted, not assumed; a violation
-raises InconsistencyError because it can only mean a bug.
+edges. Every element of the generated semigroup is an endomorphism of the
+graph, so the greedy collapse certifies the minimum rank: it merges
+collapsible pairs of the image until none is left, the image I where it
+stops is a clique, and its word colours the graph with |I| colours, so
+clique number = chromatic number = minimum rank = |I|. synchronizes checks
+this certificate in O(n^2) on every call; min_rank_via_graph keeps the
+exact clique and chromatic searches as an independent route. A failed
+check raises InconsistencyError because it can only mean a bug.
 
-Pairs {v, w} with v < w are indexed v*n + w in flat tables.
+Pairs {v, w} with v < w are numbered v*(2n-v-1)//2 + w-v-1, in
+lexicographic order; the public ``collapsible`` set keeps flat keys v*n + w.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, cached_property
+from operator import itemgetter
+
+import numpy as np
 
 from .graphs import Graph
 from .groups import PermutationGroup
-from .transformations import Transformation, compose_all
+from .transformations import Transformation, identity
 
 
 class InconsistencyError(Exception):
@@ -38,13 +47,33 @@ def _letters(group: PermutationGroup, f: Transformation):
     return names, maps
 
 
+@cache
+def _pair_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pair ends and offsets on n points, as read-only int16 arrays.
+
+    Pair {v, w}, v < w, has index p = v*(2n-v-1)//2 + w-v-1, which numbers
+    the pairs in lexicographic order; ends[p] = v and ends[count + p] = w
+    for the count = n(n-1)/2 pairs, and p = offset[v] + w.
+    """
+    v, w = np.triu_indices(n, 1)
+    points = np.arange(n)
+    offset = points * (2 * n - points - 1) // 2 - points - 1
+    tables = (np.concatenate([v, w]).astype(np.int16), offset.astype(np.int16))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
 class PairCollapseAutomaton:
     """Backward-reachability structure on unordered point pairs.
 
     letters = the group generators followed by the extra map; collapsible =
-    every pair some word sends to a single point. For each collapsible pair
-    the first letter of one collapsing word is retained so words can be
-    reconstructed without re-running the search.
+    every pair some word sends to a single point. The search is a level
+    BFS over pair indices: level 0 holds the pairs some letter sends to a
+    single point, level k+1 the pairs some letter sends into level k. For
+    each collapsible pair the lowest such letter is kept, so every pair's
+    collapse word is a shortest one and the words are deterministic, with
+    generators preferred to the map.
     """
 
     def __init__(self, group: PermutationGroup, f: Transformation):
@@ -55,88 +84,118 @@ class PairCollapseAutomaton:
         self._build()
 
     def _build(self):
+        ends, offset = _pair_tables(self.degree)
+        count = len(ends) // 2
+        images = np.array(self._letter_maps, dtype=np.intp).take(ends, axis=1)
+        a, b = images[:, :count], images[:, count:]
+        # rows[letter, p] = the pair index the letter sends pair p to; count
+        # (an index past every pair) stands for a single point
+        rows = offset[np.minimum(a, b)] + np.maximum(a, b)
+        rows[a == b] = count
+        # Every array below keeps one size per degree and letter count:
+        # numpy keeps freed small buffers for reuse by size, so arrays that
+        # shrink level by level would leave a buffer of every size behind.
+        # depth[p] = 1 + the level of pair p, 0 for the single-point index
+        # count, -1 while p is not known to collapse
+        depth = np.empty(count + 1, dtype=np.int16)
+        depth.fill(-1)
+        depth[count] = 0
+        visited = depth >= 0
+        pair_depth, pair_visited = depth[:count], visited[:count]
+        new = np.empty(count, dtype=bool)
+        remaining = count
+        level = 1
+        while remaining:
+            # a pair not yet visited has no letter into the levels before
+            # the last, so a hit on a visited pair is a hit on the last level
+            np.logical_or.reduce(visited[rows], axis=0, out=new)
+            np.greater(new, pair_visited, out=new)
+            found = np.count_nonzero(new)
+            if not found:
+                break
+            np.copyto(pair_depth, level, where=new)
+            pair_visited |= new
+            remaining -= found
+            level += 1
+        # the letter kept for each pair is the lowest one into the level
+        # before its own; pairs that never collapse match no letter
+        into_previous = depth[rows] == pair_depth - 1
+        letter = np.zeros(count, dtype=np.int16)
+        for li in range(len(rows) - 1, -1, -1):
+            np.copyto(letter, li, where=into_previous[li])
+        # one byte per pair index, 1 when the pair collapses
+        self._collapses = pair_visited.tobytes()
+        self._letter = letter
+        self._rows = rows
+
+    def _index(self, v: int, w: int) -> int:
         n = self.degree
-        maps = self._letter_maps
-        # image_table[p][li] = image pair index, or -1 when letter li sends
-        # pair p straight to a single point
-        pairs = [(v, w) for v in range(n) for w in range(v + 1, n)]
-        image_table: dict[int, list[int]] = {}
-        reverse: dict[int, list[int]] = {}
-        seeds: list[int] = []
-        first_letter: dict[int, int] = {}
-        for v, w in pairs:
-            p = v * n + w
-            row = []
-            for li, m in enumerate(maps):
-                a, b = m[v], m[w]
-                if a == b:
-                    row.append(-1)
-                    if p not in first_letter:
-                        first_letter[p] = li
-                        seeds.append(p)
-                else:
-                    if a > b:
-                        a, b = b, a
-                    row.append(a * n + b)
-            image_table[p] = row
-        for p, row in image_table.items():
-            for q in row:
-                if q >= 0 and q != p:
-                    reverse.setdefault(q, []).append(p)
-        collapsible = set(seeds)
-        queue = list(seeds)
-        for q in queue:
-            for p in reverse.get(q, ()):
-                if p in collapsible:
-                    continue
-                # letter choice: first letter whose image is already known
-                # collapsible keeps words deterministic
-                for li, target in enumerate(image_table[p]):
-                    if target == q:
-                        first_letter[p] = li
-                        break
-                collapsible.add(p)
-                queue.append(p)
-        self._image_table = image_table
-        self._first_letter = first_letter
-        self.collapsible = frozenset(collapsible)
+        return v * (2 * n - v - 1) // 2 + w - v - 1
+
+    @cached_property
+    def collapsible(self) -> frozenset[int]:
+        """The collapsible pairs {v, w}, v < w, as flat keys v*n + w."""
+        n = self.degree
+        ends = _pair_tables(n)[0].astype(np.intp)
+        count = len(ends) // 2
+        keys = ends[:count] * n + ends[count:]
+        return frozenset(keys[np.frombuffer(self._collapses, dtype=bool)].tolist())
 
     def is_collapsible(self, v: int, w: int) -> bool:
         if v == w:
             return True
         if v > w:
             v, w = w, v
-        return v * self.degree + w in self.collapsible
+        return bool(self._collapses[self._index(v, w)])
+
+    def least_collapsible_pair(self, points: list[int]) -> tuple[int, int] | None:
+        """The lexicographically least collapsible pair of the sorted points."""
+        n = self.degree
+        collapses = self._collapses
+        for i, v in enumerate(points):
+            base = v * (2 * n - v - 1) // 2 - v - 1
+            for w in points[i + 1:]:
+                if collapses[base + w]:
+                    return v, w
+        return None
 
     def collapse_word(self, v: int, w: int) -> list[int]:
-        """Letter indices of a word sending both points to one point."""
+        """Letter indices of a shortest word sending both points to one point."""
         if v == w:
             return []
         if v > w:
             v, w = w, v
-        p = v * self.degree + w
-        if p not in self.collapsible:
+        p = self._index(v, w)
+        if not self._collapses[p]:
             raise NotSynchronizingError(f"pair ({v + 1},{w + 1}) never collapses")
+        count = len(self._collapses)
+        letter, rows = self._letter, self._rows
         word = []
-        while True:
-            li = self._first_letter[p]
+        while p != count:
+            li = int(letter[p])
             word.append(li)
-            nxt = self._image_table[p][li]
-            if nxt == -1:
-                return word
-            p = nxt
+            p = int(rows[li, p])
+        return word
 
     def letter_map(self, li: int) -> tuple[int, ...]:
         return self._letter_maps[li]
 
     def obstruction_edges(self) -> list[tuple[int, int]]:
+        """The pairs v < w that never collapse, in lexicographic order."""
         n = self.degree
-        return [
-            (v, w)
-            for v in range(n)
-            for w in range(v + 1, n)
-            if v * n + w not in self.collapsible
-        ]
+        collapses = self._collapses
+        edges = []
+        if 0 not in collapses:
+            return edges
+        start = 0
+        for v in range(n - 1):
+            end = start + n - v - 1
+            p = collapses.find(0, start, end)
+            while p != -1:
+                edges.append((v, p - start + v + 1))
+                p = collapses.find(0, p + 1, end)
+            start = end
+        return edges
 
 
 @dataclass(frozen=True)
@@ -145,8 +204,11 @@ class SyncVerdict:
 
     synchronizes is true exactly when the obstruction graph is null,
     exactly when a witness word is present; the witness composes to a
-    constant map. min_rank_bound is the obstruction graph's clique number,
-    which equals the minimum rank in the generated semigroup.
+    constant map. min_rank_bound is |I| for the image I where the greedy
+    collapse stops. It is certified, not searched for: I is a clique of the
+    obstruction graph and the greedy word, of rank |I|, colours it properly,
+    so |I| is the clique number, the chromatic number and the minimum rank
+    in the generated semigroup.
     """
 
     synchronizes: bool
@@ -168,50 +230,69 @@ def synchronizes(group: PermutationGroup, f: Transformation) -> SyncVerdict:
     note = None
     if f.is_permutation():
         note = "map is a permutation; it can only synchronize when the degree is 1"
+    letters, image = _greedy_collapse(auto)
+    word = tuple([auto.letter_names[li] for li in letters])
+    composed = word_transformation(group, f, word) if word else identity(group.degree)
+    _certify_min_rank(graph, image, composed)
     sync = graph.is_null()
-    word = None
-    if sync:
-        word = tuple(_greedy_word(auto, group, f))
-        composed = word_transformation(group, f, word)
-        if composed.rank() != 1:
-            raise InconsistencyError("witness word does not compose to a constant")
     return SyncVerdict(
         synchronizes=sync,
-        witness_word=word,
+        witness_word=word if sync else None,
         obstruction=graph,
-        min_rank_bound=graph.clique_number(),
+        min_rank_bound=len(image),
         note=note,
     )
 
 
-def _greedy_word(auto: PairCollapseAutomaton, group, f) -> list[str]:
-    """Collapse the lexicographically least collapsible pair of the current image.
+def _greedy_collapse(auto: PairCollapseAutomaton) -> tuple[list[int], list[int]]:
+    """Collapse the lexicographically least collapsible pair of the image, to the end.
 
-    Each round strictly shrinks the image, so at most degree-1 rounds run;
-    word length is reported against the (n-1)^2 Cerny benchmark elsewhere,
-    greedy words carry no optimality promise.
+    Returns the letters of the word and the sorted image it reaches, where
+    no pair collapses any more. Each round strictly shrinks the image, so
+    at most degree-1 rounds run; word length is reported against the
+    (n-1)^2 Cerny benchmark elsewhere, greedy words carry no optimality
+    promise. On one point the word is the map alone.
     """
     n = auto.degree
     if n == 1:
-        return ["f"]
+        return [len(auto.letter_names) - 1], [0]
     image = list(range(n))
-    word: list[str] = []
-    while len(image) > 1:
-        pair = None
-        for i in range(len(image)):
-            for j in range(i + 1, len(image)):
-                if auto.is_collapsible(image[i], image[j]):
-                    pair = (image[i], image[j])
-                    break
-            if pair:
-                break
-        if pair is None:
-            raise NotSynchronizingError("no collapsible pair in current image")
+    word: list[int] = []
+    while (pair := auto.least_collapsible_pair(image)) is not None:
+        points = image
         for li in auto.collapse_word(*pair):
-            m = auto.letter_map(li)
-            image = sorted({m[x] for x in image})
-            word.append(auto.letter_names[li])
-    return word
+            # the pair stays apart until the last letter, so points has at
+            # least two members and itemgetter returns a tuple
+            points = itemgetter(*points)(auto.letter_map(li))
+            word.append(li)
+        image = sorted(set(points))
+    return word, image
+
+
+def _certify_min_rank(graph: Graph, image: list[int], composed: Transformation):
+    """Check that the greedy word proves min rank = clique = chromatic = |image|.
+
+    Every semigroup element is an endomorphism of the obstruction graph, so
+    it is injective on cliques and the minimum rank is at least the clique
+    number. If the image where the greedy stops is a clique, and the word,
+    of rank |image|, sends no edge to a single point (a proper colouring
+    with |image| colours), then clique number = chromatic number = minimum
+    rank = |image|. On a synchronizing map this says the word is constant.
+    """
+    rows = graph.rows
+    clique = sum(1 << v for v in image)
+    if any((rows[v] | 1 << v) & clique != clique for v in image):
+        raise InconsistencyError("the greedy collapse stopped at an image that is not a clique")
+    if composed.rank() != len(image):
+        raise InconsistencyError(
+            f"greedy word has rank {composed.rank()}, not {len(image)}"
+        )
+    colour_classes: dict[int, int] = {}
+    for x, y in enumerate(composed.images):
+        colour_classes[y] = colour_classes.get(y, 0) | 1 << x
+    for x, y in enumerate(composed.images):
+        if rows[x] & colour_classes[y]:
+            raise InconsistencyError("greedy word sends an obstruction edge to one point")
 
 
 def synchronizing_word(group: PermutationGroup, f: Transformation) -> tuple[str, ...]:
@@ -227,16 +308,23 @@ def word_transformation(
     group: PermutationGroup, f: Transformation, word
 ) -> Transformation:
     """Compose a word of letter names into a single transformation."""
+    if f.degree != group.degree:
+        raise ValueError(f"degree mismatch: {group.degree} != {f.degree}")
     named = dict(
-        [(f"g{i + 1}", g) for i, g in enumerate(group.generators)] + [("f", f)]
+        [(f"g{i + 1}", g.images) for i, g in enumerate(group.generators)]
+        + [("f", f.images)]
     )
     try:
-        letters = [named[name] for name in word]
+        maps = [named[name] for name in word]
     except KeyError as exc:
         raise ValueError(f"unknown letter {exc.args[0]!r}") from exc
-    if not letters:
+    if not maps:
         raise ValueError("empty word")
-    return compose_all(letters)
+    images = maps[0]
+    if len(images) > 1:  # itemgetter of a single index returns no tuple
+        for m in maps[1:]:
+            images = itemgetter(*images)(m)
+    return Transformation(images)
 
 
 def min_rank_via_graph(group: PermutationGroup, f: Transformation) -> int:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -332,3 +336,42 @@ class TestBadInput:
         assert message.startswith(f"error: --kernel-type {text!r}: ")
         assert reason in message
         assert "\n" not in message
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scan", "--max-degree", "99"],
+            ["catalog", "list", "--max-degree", "99"],
+            ["verify", "rystsov", "--max-degree", "65"],
+        ],
+    )
+    def test_max_degree_beyond_catalog(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, *argv)
+        message = str(exc.value)
+        assert message.startswith(f"error: --max-degree {argv[-1]}: ")
+        assert "catalog degrees stop at 64" in message
+        assert "\n" not in message
+
+
+def test_closed_pipe_ends_quietly():
+    """A reader that stops after one line (``| head -1``) gets no traceback."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    # about 500 kB of records, far more than a pipe buffers
+    argv = ["scan", "--max-degree", "7", "--degree", "7", "--kernel-type", "3,2,1,1"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "synchrolab", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    try:
+        stderr = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert json.loads(first)["group"]
+    assert stderr == b""
+    assert code == 141

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 
@@ -128,6 +129,21 @@ class TestCliqueChromatic:
         for _ in range(50):
             g = random_graph(rng, rng.randint(1, 9))
             assert g.clique_number() <= g.chromatic_number()
+
+    def test_clique_search_leaves_no_cyclic_garbage(self):
+        g = rook_graph()
+        gc.collect()
+        gc.garbage.clear()
+        debug = gc.get_debug()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            assert g.clique_number() == 3
+            gc.collect()
+            garbage = list(gc.garbage)
+        finally:
+            gc.set_debug(debug)
+            gc.garbage.clear()
+        assert garbage == []
 
     def test_colouring_is_proper(self):
         g = rook_graph()

@@ -1,11 +1,13 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from synchrolab.catalog import (
+    build_catalog,
     cyclic_group,
     dihedral_group,
     grid_group,
@@ -74,6 +76,143 @@ class TestCollapsiblePairs:
     def test_letter_names(self):
         auto = PairCollapseAutomaton(symmetric_group(3), t(1, 1, 3))
         assert auto.letter_names == ["g1", "g2", "f"]
+
+
+def reference_automaton(group, f):
+    """The pair-collapse search as a plain Python BFS over a pairs x letters table.
+
+    Returns the collapsible pairs as flat keys v*n + w and a function giving
+    the length of the collapse word the search finds for a collapsible pair.
+    """
+    n = group.degree
+    maps = [g.images for g in group.generators] + [f.images]
+    # image_table[p][li] = image pair key, or -1 when letter li sends
+    # pair p straight to a single point
+    image_table = {}
+    reverse = {}
+    first_letter = {}
+    seeds = []
+    for v in range(n):
+        for w in range(v + 1, n):
+            p = v * n + w
+            row = []
+            for li, m in enumerate(maps):
+                a, b = m[v], m[w]
+                if a == b:
+                    row.append(-1)
+                    if p not in first_letter:
+                        first_letter[p] = li
+                        seeds.append(p)
+                else:
+                    row.append(min(a, b) * n + max(a, b))
+            image_table[p] = row
+    for p, row in image_table.items():
+        for q in row:
+            if q >= 0 and q != p:
+                reverse.setdefault(q, []).append(p)
+    collapsible = set(seeds)
+    queue = list(seeds)
+    for q in queue:
+        for p in reverse.get(q, ()):
+            if p in collapsible:
+                continue
+            first_letter[p] = image_table[p].index(q)
+            collapsible.add(p)
+            queue.append(p)
+
+    def word_length(p):
+        length = 0
+        while p != -1:
+            p = image_table[p][first_letter[p]]
+            length += 1
+        return length
+
+    return frozenset(collapsible), word_length
+
+
+def _map_of_rank(rng, n, rank):
+    """A random map on n points whose image has exactly ``rank`` points."""
+    image = rng.sample(range(n), rank)
+    images = image + [rng.choice(image) for _ in range(n - rank)]
+    rng.shuffle(images)
+    return Transformation(tuple(images))
+
+
+def _random_element(rng, group):
+    g = tuple(range(group.degree))
+    for _ in range(2 * group.degree):
+        h = rng.choice(group.generators).images
+        g = tuple([h[x] for x in g])
+    return g
+
+
+def _non_synchronizing_map(rng, name, group):
+    """A map the group cannot synchronize, or None for other catalog groups.
+
+    On C_n with a divisor d, the residues mod d are blocks and a map sending
+    distinct blocks to distinct blocks keeps d points apart; on grid-m each
+    row goes to one cell of the diagonal. Random group elements on either
+    side leave the generated semigroup as it is.
+    """
+    n = group.degree
+    divisors = [d for d in range(2, n) if n % d == 0]
+    if re.fullmatch(r"C\d+", name) and divisors:
+        d = rng.choice(divisors)
+        targets = rng.sample(range(d), d)
+        images = [rng.randrange(n // d) * d + targets[x % d] for x in range(n)]
+        if len(set(images)) == n:
+            images[d] = images[0]
+    elif re.fullmatch(r"grid-\d+", name):
+        side = int(name.split("-")[1])
+        images = [(x // side) * (side + 1) for x in range(n)]
+    else:
+        return None
+    left, right = _random_element(rng, group), _random_element(rng, group)
+    return Transformation(tuple([right[images[left[x]]] for x in range(n)]))
+
+
+def _served_instances():
+    """Seeded maps on every catalog group of degree <= 64."""
+    for entry in build_catalog(64):
+        n = entry.degree
+        rng = random.Random(f"served:{entry.name}")
+        maps = [_map_of_rank(rng, n, r) for r in sorted({n - 1, max(2, n // 2), 2})]
+        for _ in range(2):
+            f = _non_synchronizing_map(rng, entry.name, entry.group)
+            if f is not None:
+                maps.append(f)
+        for f in maps:
+            yield entry, f
+
+
+class TestAgainstReferenceAtServedDegrees:
+    """The numpy level BFS against the Python BFS it replaced, up to degree 64."""
+
+    def test_collapsible_pairs_and_word_lengths(self):
+        nonsync = 0
+        for entry, f in _served_instances():
+            group, n = entry.group, entry.degree
+            auto = PairCollapseAutomaton(group, f)
+            collapsible, word_length = reference_automaton(group, f)
+            assert auto.collapsible == collapsible, (entry.name, f)
+            for key in collapsible:
+                v, w = divmod(key, n)
+                word = auto.collapse_word(v, w)
+                assert len(word) == word_length(key), (entry.name, f, v, w)
+                a, b = v, w
+                for li in word:
+                    assert a != b, "collapsed before the word ended"
+                    m = auto.letter_map(li)
+                    a, b = m[a], m[b]
+                assert a == b, (entry.name, f, v, w)
+            verdict = synchronizes(group, f)
+            if not verdict.synchronizes:
+                nonsync += 1
+                graph = verdict.obstruction
+                assert verdict.min_rank_bound == graph.clique_number(), (entry.name, f)
+                if n <= 16:
+                    assert verdict.min_rank_bound == graph.chromatic_number()
+        assert nonsync >= 100
 
 
 class TestSynchronizes:
