@@ -309,52 +309,44 @@ def _colour_bound(rows: Sequence[int], cand: int) -> int:
 
 
 def _colourable(g: Graph, k: int) -> list[int] | None:
-    """Backtracking k-colouring with saturation ordering; None if infeasible."""
-    n = g.n
-    colour = [-1] * n
+    """Backtracking k-colouring with saturation ordering; None if infeasible.
+
+    Like the clique search, the state is passed explicitly, with no nested
+    functions, so a call leaves no reference cycles behind.
+    """
+    colour = [-1] * g.n
     # forbidden[v] = bitmask of colours already used by neighbours of v
-    forbidden = [0] * n
-
-    def pick() -> int:
-        best_v, best_key = -1, None
-        for v in range(n):
-            if colour[v] != -1:
-                continue
-            key = (-forbidden[v].bit_count(), -g.degree(v), v)
-            if best_key is None or key < best_key:
-                best_v, best_key = v, key
-        return best_v
-
-    used = 0
-
-    def solve(assigned: int) -> bool:
-        nonlocal used
-        if assigned == n:
-            return True
-        v = pick()
-        limit = min(k, used + 1)
-        for c in range(limit):
-            if forbidden[v] >> c & 1:
-                continue
-            colour[v] = c
-            bumps = []
-            for w in g.neighbours(v):
-                if colour[w] == -1 and not forbidden[w] >> c & 1:
-                    forbidden[w] |= 1 << c
-                    bumps.append(w)
-            prev_used = used
-            used = max(used, c + 1)
-            if solve(assigned + 1):
-                return True
-            used = prev_used
-            for w in bumps:
-                forbidden[w] &= ~(1 << c)
-            colour[v] = -1
-        return False
-
-    if solve(0):
-        return colour[:]
+    forbidden = [0] * g.n
+    if _extend_colouring(g, k, colour, forbidden, 0, 0):
+        return colour
     return None
+
+
+def _extend_colouring(
+    g: Graph, k: int, colour: list[int], forbidden: list[int], assigned: int, used: int
+) -> bool:
+    """Colour the rest of ``g`` from a partial colouring using ``used`` colours."""
+    if assigned == g.n:
+        return True
+    v = min(
+        (u for u in range(g.n) if colour[u] == -1),
+        key=lambda u: (-forbidden[u].bit_count(), -g.degree(u), u),
+    )
+    for c in range(min(k, used + 1)):
+        if forbidden[v] >> c & 1:
+            continue
+        colour[v] = c
+        bumps = []
+        for w in g.neighbours(v):
+            if colour[w] == -1 and not forbidden[w] >> c & 1:
+                forbidden[w] |= 1 << c
+                bumps.append(w)
+        if _extend_colouring(g, k, colour, forbidden, assigned + 1, max(used, c + 1)):
+            return True
+        for w in bumps:
+            forbidden[w] &= ~(1 << c)
+        colour[v] = -1
+    return False
 
 
 def complete_multipartite(blocks: Partition) -> Graph:

@@ -60,6 +60,22 @@ def random_graph(rng, n):
     return Graph.from_edges(n, edges)
 
 
+def cyclic_garbage(call):
+    """The call's result and the objects it left in reference cycles."""
+    gc.collect()
+    gc.garbage.clear()
+    debug = gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        result = call()
+        gc.collect()
+        garbage = list(gc.garbage)
+    finally:
+        gc.set_debug(debug)
+        gc.garbage.clear()
+    return result, garbage
+
+
 class TestBasicPredicates:
     def test_null_and_complete(self):
         assert Graph.null(4).is_null()
@@ -131,19 +147,11 @@ class TestCliqueChromatic:
             assert g.clique_number() <= g.chromatic_number()
 
     def test_clique_search_leaves_no_cyclic_garbage(self):
-        g = rook_graph()
-        gc.collect()
-        gc.garbage.clear()
-        debug = gc.get_debug()
-        gc.set_debug(gc.DEBUG_SAVEALL)
-        try:
-            assert g.clique_number() == 3
-            gc.collect()
-            garbage = list(gc.garbage)
-        finally:
-            gc.set_debug(debug)
-            gc.garbage.clear()
-        assert garbage == []
+        assert cyclic_garbage(rook_graph().clique_number) == (3, [])
+
+    def test_colouring_leaves_no_cyclic_garbage(self):
+        assert cyclic_garbage(Graph.cycle(7).chromatic_number) == (3, [])
+        assert cyclic_garbage(lambda: rook_graph().colouring(2)) == (None, [])
 
     def test_colouring_is_proper(self):
         g = rook_graph()

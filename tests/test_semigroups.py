@@ -1,6 +1,8 @@
 import itertools
 import random
+from dataclasses import dataclass
 
+import numpy as np
 import pytest
 
 from synchrolab import semigroups
@@ -32,6 +34,7 @@ from synchrolab.semigroups import (
 from synchrolab.sweeps import kernel_orbit_representatives, kernel_types_of_rank
 from synchrolab.sync import obstruction_graph
 from synchrolab.transformations import (
+    MAX_DEGREE,
     Partition,
     Transformation,
     compose,
@@ -146,11 +149,54 @@ def reference_closure(generators, cap):
     return b"".join(order), truncated
 
 
+@dataclass(frozen=True)
+class WideMap:
+    """A map given by its images, at a degree above MAX_DEGREE."""
+
+    images: tuple[int, ...]
+
+    @property
+    def degree(self) -> int:
+        return len(self.images)
+
+
+def reference_ranks(matrix):
+    """Image sizes by sorting every row: the count of value changes, plus one."""
+    s = np.sort(matrix, axis=1)
+    return (s[:, 1:] != s[:, :-1]).sum(axis=1).astype(np.int64) + 1
+
+
+def reference_collapsed_pairs(matrix):
+    """Every pair compared on every row."""
+    n = matrix.shape[1]
+    return frozenset(
+        (v, w)
+        for v in range(n)
+        for w in range(v + 1, n)
+        if (matrix[:, v] == matrix[:, w]).any()
+    )
+
+
+def assert_analysis_matches_reference(c):
+    ranks = reference_ranks(c.matrix)
+    assert c.ranks.dtype == ranks.dtype
+    assert np.array_equal(c.ranks, ranks)
+    if c.truncated:
+        with pytest.raises(TruncatedClosureError):
+            c.collapsed_pairs()
+        return
+    assert c.rank_spectrum == tuple(int(r) for r in np.unique(ranks))
+    assert c.min_rank == int(ranks.min())
+    assert c.contains_constant() == bool((ranks == 1).any())
+    assert c.collapsed_pairs() == reference_collapsed_pairs(c.matrix)
+
+
 def assert_matches_reference(generators, cap=DEFAULT_CLOSURE_CAP):
     c = closure(generators, cap=cap)
     expected, truncated = reference_closure(generators, cap)
     assert c.matrix.tobytes() == expected
     assert c.truncated == truncated
+    assert_analysis_matches_reference(c)
     return c
 
 
@@ -184,6 +230,18 @@ class TestClosureMatchesReference:
         gens = list(GRID.generators) + [t(1, 1, 3, 4, 5, 6, 7, 8, 9)]
         c = assert_matches_reference(gens, cap=3 * DENSE_MIN_ELEMENTS)
         assert len(c) > DENSE_MIN_ELEMENTS
+
+    @pytest.mark.parametrize("n", [64, 70, 256])
+    def test_analysis_at_high_degree(self, n):
+        # closure reads only images and degree, so it takes maps of any
+        # degree its uint8 matrix holds, past Transformation's MAX_DEGREE
+        make = Transformation if n <= MAX_DEGREE else WideMap
+        e = make(tuple(x - x % 3 for x in range(n)))
+        c = assert_matches_reference([make(tuple(range(n))), e])
+        assert c.ranks.tolist() == [n, (n + 2) // 3]
+        assert c.collapsed_pairs() == {
+            (v, w) for v in range(n) for w in range(v + 1, n) if v // 3 == w // 3
+        }
 
     @pytest.mark.parametrize(
         "group, f",
