@@ -10,6 +10,7 @@ so discovery indices are stable across runs and usable in reports.
 """
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -25,9 +26,10 @@ DEFAULT_CLOSURE_CAP = 1_000_000
 # Re-measured with int32-code levels on 1,096 oracle closures (2-CPU host):
 # 512 here left the median closure as it was (0.146-0.152 ms against
 # 0.148-0.156 ms; 256 doubled it) and took all of them in 1.23-1.28 s
-# against 1.38-1.43 s, but at degree 8 each switch zeroes the 16.7 MB
-# visited array (about 1 ms), so C8 oracle requests went from 1.1 to 3.4 ms
-# (median) and closures of 10^5 elements 5-10% slower.
+# against 1.38-1.43 s, but at degree 8 each switch sets up the 16.7 MB
+# visited array (about 1 ms when it was zeroed on the heap), so C8 oracle
+# requests went from 1.1 to 3.4 ms (median) and closures of 10^5 elements
+# 5-10% slower.
 DENSE_MIN_ELEMENTS = 2048
 # The visited array holds degree**degree bytes: 16.7 MB at 8, 387 MB at 9.
 DENSE_MAX_DEGREE = 8
@@ -240,7 +242,12 @@ def _dense_levels(
     byte_at = [np.arange(n, dtype=np.uint64) << np.uint64(8 * i) for i in range(n)]
     t_hi, t_lo = _digit_sums(code_at[:high]), _digit_sums(code_at[high:])
     row_hi, row_lo = _digit_sums(byte_at[:high]), _digit_sums(byte_at[high:])
-    visited = np.zeros(n**n, dtype=bool)
+    # An anonymous mapping, not np.zeros: its zero pages cost only where
+    # touched, and all of them go back to the system when the closure ends.
+    # Freed to the malloc heap instead, 16.7 MB at degree 8 raises glibc's
+    # mmap threshold, and later closures keep a varying share of the heap
+    # resident (an oracle benchmark run then peaked at 54 or 65 MB, by seed).
+    visited = np.frombuffer(mmap.mmap(-1, n**n), dtype=bool)
     found_codes = found.astype(np.int32) @ weights
     visited[found_codes] = True
     blocks = []
