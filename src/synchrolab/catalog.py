@@ -12,6 +12,7 @@ any mismatch is an error, so the catalog doubles as a self-check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import factorial, isqrt
 
 from .groups import PermutationGroup
 from .transformations import Transformation
@@ -265,90 +266,71 @@ def projective_linear_group(q: int) -> PermutationGroup:
     return PermutationGroup(gens, n)
 
 
-def _primes(limit: int) -> list[int]:
-    return [p for p in range(2, limit + 1) if all(p % d for d in range(2, p))]
+def _is_prime_power(q: int) -> bool:
+    try:
+        _prime_power(q)
+    except ValueError:
+        return False
+    return True
 
 
-def _prime_powers(limit: int) -> list[int]:
-    out = []
-    for q in range(2, limit + 1):
-        try:
-            _prime_power(q)
-        except ValueError:
-            continue
-        out.append(q)
-    return out
+def _is_prime(n: int) -> bool:
+    return n >= 2 and all(n % d for d in range(2, n))
 
 
-def build_catalog(max_degree: int = 12) -> list[CatalogEntry]:
-    """All catalog entries of degree between 3 and max_degree."""
-    if max_degree > 64:
-        raise ValueError("catalog degrees stop at 64")
-    entries: list[CatalogEntry] = []
-
-    def fact(n):
-        out = 1
-        for i in range(2, n + 1):
-            out *= i
-        return out
-
-    for n in range(3, max_degree + 1):
-        entries.append(
-            CatalogEntry(
-                f"S{n}",
-                n,
-                symmetric_group(n),
-                Expected(transitive=True, primitive=True, order=fact(n)),
-                "symmetric group, natural action",
-            )
+def _entries_of_degree(n: int) -> list[CatalogEntry]:
+    """The catalog entries of degree n (3 <= n <= 64), sorted by name."""
+    entries = [
+        CatalogEntry(
+            f"S{n}",
+            n,
+            symmetric_group(n),
+            Expected(transitive=True, primitive=True, order=factorial(n)),
+            "symmetric group, natural action",
         )
-    for n in range(4, max_degree + 1):
+    ]
+    if n >= 4:
         entries.append(
             CatalogEntry(
                 f"A{n}",
                 n,
                 alternating_group(n),
-                Expected(transitive=True, primitive=True, order=fact(n) // 2),
+                Expected(transitive=True, primitive=True, order=factorial(n) // 2),
                 "alternating group, natural action",
             )
         )
-    for p in _primes(max_degree):
-        if p >= 3:
-            entries.append(
-                CatalogEntry(
-                    f"C{p}",
-                    p,
-                    cyclic_group(p),
-                    Expected(transitive=True, primitive=True, order=p),
-                    "cyclic group of prime degree",
-                )
+    if _is_prime(n):
+        entries.append(
+            CatalogEntry(
+                f"C{n}",
+                n,
+                cyclic_group(n),
+                Expected(transitive=True, primitive=True, order=n),
+                "cyclic group of prime degree",
             )
-    for p in _primes(max_degree):
-        if p >= 5:
+        )
+        if n >= 5:
             entries.append(
                 CatalogEntry(
-                    f"D{p}",
-                    p,
-                    dihedral_group(p),
-                    Expected(transitive=True, primitive=True, order=2 * p),
+                    f"D{n}",
+                    n,
+                    dihedral_group(n),
+                    Expected(transitive=True, primitive=True, order=2 * n),
                     "dihedral group of prime degree",
                 )
             )
-    for n in range(4, max_degree + 1):
-        if any(n % d == 0 for d in range(2, n)):  # composite degrees only
-            entries.append(
-                CatalogEntry(
-                    f"C{n}",
-                    n,
-                    cyclic_group(n),
-                    Expected(transitive=True, primitive=False, order=n),
-                    "cyclic group of composite degree (imprimitive)",
-                )
+    elif n >= 4:
+        entries.append(
+            CatalogEntry(
+                f"C{n}",
+                n,
+                cyclic_group(n),
+                Expected(transitive=True, primitive=False, order=n),
+                "cyclic group of composite degree (imprimitive)",
             )
-    for m in range(2, 9):
-        n = m * m
-        if n > max_degree:
-            break
+        )
+    m = isqrt(n)
+    if m * m == n and 2 <= m <= 8:
         entries.append(
             CatalogEntry(
                 f"grid-{m}",
@@ -359,15 +341,13 @@ def build_catalog(max_degree: int = 12) -> list[CatalogEntry]:
                 Expected(
                     transitive=True,
                     primitive=(m >= 3),
-                    order=2 * fact(m) ** 2,
+                    order=2 * factorial(m) ** 2,
                 ),
                 f"row/column symmetries of the {m}x{m} grid, product action",
             )
         )
-    for q in _prime_powers(max_degree - 1):
-        n = q + 1
-        if n > max_degree or n < 3:
-            continue
+    q = n - 1
+    if _is_prime_power(q):
         entries.append(
             CatalogEntry(
                 f"PGL(2,{q})",
@@ -381,8 +361,15 @@ def build_catalog(max_degree: int = 12) -> list[CatalogEntry]:
                 "Mobius transformations of the projective line",
             )
         )
-    entries.sort(key=lambda e: (e.degree, e.name))
+    entries.sort(key=lambda e: e.name)
     return entries
+
+
+def build_catalog(max_degree: int = 12) -> list[CatalogEntry]:
+    """All catalog entries of degree between 3 and max_degree."""
+    if max_degree > 64:
+        raise ValueError("catalog degrees stop at 64")
+    return [e for n in range(3, max_degree + 1) for e in _entries_of_degree(n)]
 
 
 def verify_entry(entry: CatalogEntry) -> None:
@@ -405,9 +392,9 @@ def catalog_by_name(max_degree: int = 12) -> dict[str, CatalogEntry]:
 
 
 def find_entry(name: str, max_degree: int = 64) -> CatalogEntry:
-    table = catalog_by_name(max_degree)
-    if name not in table:
-        raise KeyError(
-            f"no catalog entry named {name!r}; try 'catalog list'"
-        )
-    return table[name]
+    """The entry of that name, building the catalog only up to its degree."""
+    for n in range(3, max_degree + 1):
+        for entry in _entries_of_degree(n):
+            if entry.name == name:
+                return entry
+    raise KeyError(f"no catalog entry named {name!r}; try 'catalog list'")

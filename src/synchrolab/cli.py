@@ -3,9 +3,12 @@
 Subcommands: catalog list|show, check, word, gr, verify, depth, scan,
 closure. The environment variable SYNCHROLAB_CAP overrides the default
 closure cap. verify exits 0 on pass, 1 when a counterexample was found and
-2 when the budget ran out (inconclusive). When the reader of the output
-goes away (``| head``), every subcommand stops quietly with exit 141, the
-status of a process ended by SIGPIPE.
+2 when the budget ran out (inconclusive). Bad input, whether a malformed
+argument value, an unknown group or a command line argparse rejects,
+exits 64 (EX_USAGE), a status no verify outcome uses; the first two print
+one ``error: ...`` line. When the reader of the output goes away
+(``| head``), every subcommand stops quietly with exit 141, the status of
+a process ended by SIGPIPE.
 """
 from __future__ import annotations
 
@@ -13,8 +16,9 @@ import argparse
 import os
 import sys
 from pathlib import Path
+from typing import NoReturn
 
-from .catalog import build_catalog, catalog_by_name
+from .catalog import build_catalog, find_entry
 from .experiments import THEOREMS, Budget, InstanceRecord, verify_theorem
 from .groups import PermutationGroup, load_group_file
 from .reports import instance_record_json, report_emit
@@ -34,6 +38,22 @@ from .transformations import (
     parse_transformation,
 )
 
+EX_USAGE = 64
+
+
+def _usage_error(message: str) -> NoReturn:
+    """One ``error: ...`` line on stderr, then exit EX_USAGE."""
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(EX_USAGE)
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose command-line errors exit EX_USAGE, not 2."""
+
+    def error(self, message: str) -> NoReturn:
+        self.print_usage(sys.stderr)
+        self.exit(EX_USAGE, f"{self.prog}: error: {message}\n")
+
 
 def _closure_cap(flag: str | None = None) -> int:
     """The --cap value, else SYNCHROLAB_CAP, else the default; at least 1."""
@@ -47,7 +67,7 @@ def _closure_cap(flag: str | None = None) -> int:
     except ValueError:
         cap = 0
     if cap < 1:
-        raise SystemExit(f"error: {source} must be a positive integer, got {value!r}")
+        _usage_error(f"{source} must be a positive integer, got {value!r}")
     return cap
 
 
@@ -57,20 +77,16 @@ def _load_group(spec: str) -> tuple[str, PermutationGroup]:
     if path.exists():
         name, group = load_group_file(path)
         return name or path.stem, group
-    table = catalog_by_name(64)
-    if spec in table:
-        return spec, table[spec].group
-    raise SystemExit(
-        f"error: {spec!r} is neither a readable file nor a catalog entry name"
-    )
+    try:
+        return spec, find_entry(spec).group
+    except KeyError:
+        _usage_error(f"{spec!r} is neither a readable file nor a catalog entry name")
 
 
 def _max_degree(value: int) -> int:
     """The --max-degree value, or one error line when the catalog cannot reach it."""
     if value > MAX_DEGREE:
-        raise SystemExit(
-            f"error: --max-degree {value}: catalog degrees stop at {MAX_DEGREE}"
-        )
+        _usage_error(f"--max-degree {value}: catalog degrees stop at {MAX_DEGREE}")
     return value
 
 
@@ -79,7 +95,7 @@ def _parse_arg(flag: str, text: str, parse):
     try:
         return parse(text)
     except ValueError as exc:
-        raise SystemExit(f"error: {flag} {text!r}: {exc}") from None
+        _usage_error(f"{flag} {text!r}: {exc}")
 
 
 def _parse_map(text: str, group: PermutationGroup) -> Transformation:
@@ -119,9 +135,10 @@ def cmd_catalog(args) -> int:
                 f"{'primitive' if exp.primitive else 'imprimitive'}"
             )
         return 0
-    entry = catalog_by_name(64).get(args.name)
-    if entry is None:
-        raise SystemExit(f"error: no catalog entry named {args.name!r}")
+    try:
+        entry = find_entry(args.name)
+    except KeyError:
+        _usage_error(f"no catalog entry named {args.name!r}")
     g = entry.group
     print(f"name:        {entry.name}")
     print(f"degree:      {entry.degree}")
@@ -255,7 +272,7 @@ def cmd_closure(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="synchrolab",
         description="synchronization checker for permutation groups plus a map",
     )

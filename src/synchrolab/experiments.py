@@ -8,9 +8,14 @@ claim held. A run produces an ExperimentReport whose status is:
 - inconclusive  the time or instance budget ran out first;
 - pass          the sweep completed with zero counterexamples.
 
-Every sweep runs its instances through one loop, _Sweeper.unsynchronized,
-which ticks the budget once per instance and yields those the orbit solver
-does not synchronize. The sweeps over (k,1,...,1) maps share one body:
+The sweeps over every map of a kernel type run through one loop,
+_Sweeper.unsynchronized. It decides the maps a block of assignment rows at
+a time with one numpy call of the orbit solver, so a block keeps about
+sync.BLOCK_PAIR_CELLS (row, point pair) cells of uint64 masks in memory,
+besides the type's int8 assignment array. It ticks the budget once per
+instance, as if the instances ran one by one, and yields the instances
+the solver does not synchronize, in sweep order. The sweeps over
+(k,1,...,1) maps share one body:
 `imprimitivity-char` takes every k from 2 to n-1, and `rystsov` (primitive
 iff every rank n-1 map synchronizes) is its k = 2 case.
 
@@ -24,6 +29,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 from .catalog import CatalogEntry, build_catalog, verify_entry
 from .graphs import complete_multipartite, witness_map_for_block
 from .semigroups import (
@@ -35,9 +42,11 @@ from .semigroups import (
     idempotent_same_kernel,
 )
 from .sweeps import (
+    SweepInstance,
     idempotent_instances_of_type,
     instances_of_type,
     kernel_types_of_rank,
+    representatives_of_type,
 )
 from .sync import OrbitCollapseSolver, synchronizes
 from .transformations import (
@@ -119,6 +128,19 @@ class _Sweeper:
         if n % 512 == 0 and time.monotonic() - self.started > self.budget.seconds:
             raise _BudgetExceeded
 
+    def admit(self, count: int) -> int:
+        """How many of the next count instances the instance budget lets through.
+
+        Reads the clock once; out of time, the first of them is ticked and
+        the run ends, as tick would end it.
+        """
+        if time.monotonic() - self.started > self.budget.seconds:
+            self.report.instances_tested += 1
+            raise _BudgetExceeded
+        if self.budget.max_instances is None:
+            return count
+        return max(0, min(count, self.budget.max_instances - self.report.instances_tested))
+
     def confirm_not_synchronizing(
         self, entry: CatalogEntry, f: Transformation
     ) -> InstanceRecord:
@@ -151,19 +173,48 @@ class _Sweeper:
             note=note,
         )
 
-    def unsynchronized(self, entry: CatalogEntry, instances):
-        """Tick once per instance; yield those the orbit solver does not synchronize."""
-        solver = self.solver(entry)
-        for inst in instances:
-            self.tick()
-            if not solver.synchronizes_images(inst.images):
-                yield inst
+    def unsynchronized(self, entry: CatalogEntry, kt: KernelType):
+        """Every map of the kernel type, one tick each; yield the unsynchronized ones.
 
-    def expect_synchronized(self, entry: CatalogEntry, instances) -> None:
-        """Sweep instances that the claim says must synchronize."""
-        for inst in self.unsynchronized(entry, instances):
-            record = self.confirm_not_synchronizing(entry, inst.transformation())
-            self.report.counterexamples.append(record)
+        Instances run kernel representative by representative, each over
+        the assignment rows in blocks of solver.block_rows. A yielded
+        instance has been counted with all those before it and none after,
+        and a block that the instance budget cuts short is decided only up
+        to the cut, so instances_tested comes out as with one tick per map.
+        """
+        solver = self.solver(entry)
+        kernels, assignments = representatives_of_type(entry.group, kt)
+        report = self.report
+        for kernel in kernels:
+            columns = np.array(kernel.block_index, dtype=np.intp)
+            for lo in range(0, len(assignments), solver.block_rows):
+                rows = assignments[lo : lo + solver.block_rows]
+                fits = self.admit(len(rows))
+                images = rows[:fits, columns]
+                base = report.instances_tested
+                for i in np.flatnonzero(~solver.synchronizes_images(images)).tolist():
+                    report.instances_tested = base + i + 1
+                    yield SweepInstance(
+                        kernel, tuple(rows[i].tolist()), tuple(images[i].tolist())
+                    )
+                report.instances_tested = base + fits
+                if fits < len(rows):
+                    self.tick()  # one past the instance budget: raises
+
+    def expect_synchronized(self, entry: CatalogEntry, kt: KernelType) -> None:
+        """Sweep a kernel type whose maps the claim says must synchronize."""
+        for inst in self.unsynchronized(entry, kt):
+            self.report.counterexamples.append(
+                self.confirm_not_synchronizing(entry, inst.transformation())
+            )
+
+    def expect_one_synchronized(self, entry: CatalogEntry, inst: SweepInstance) -> None:
+        """Tick for one instance that the claim says must synchronize."""
+        self.tick()
+        if not self.solver(entry).synchronizes_images(inst.images):
+            self.report.counterexamples.append(
+                self.confirm_not_synchronizing(entry, inst.transformation())
+            )
 
     def expect_witness_failure(
         self, entry: CatalogEntry, f: Transformation, context: str
@@ -227,8 +278,7 @@ def _sweep_block_collapse(sw: _Sweeper, max_degree: int, k_range, label: str):
             if k <= bmax:
                 sw.expect_witness_failure(entry, _block_witness(entry, k), label.format(k=k))
             else:
-                kt = KernelType(tuple([k] + [1] * (n - k)))
-                sw.expect_synchronized(entry, instances_of_type(entry.group, kt))
+                sw.expect_synchronized(entry, KernelType(tuple([k] + [1] * (n - k))))
 
 
 def _sweep_rystsov(sw: _Sweeper, max_degree: int):
@@ -251,7 +301,7 @@ def _expect_types_synchronized(
     """Every primitive entry synchronizes every map of kernel_types(n)."""
     for entry in _primitive_entries(max_degree, min_degree):
         for kt in kernel_types(entry.degree):
-            sw.expect_synchronized(entry, instances_of_type(entry.group, kt))
+            sw.expect_synchronized(entry, kt)
 
 
 def _sweep_rank_n2(sw: _Sweeper, max_degree: int):
@@ -290,7 +340,7 @@ def _sweep_idempotent_32(sw: _Sweeper, max_degree: int):
         for inst in idempotent_instances_of_type(entry.group, kt):
             if not inst.transformation().is_idempotent():
                 raise AssertionError("idempotent enumeration produced a non-idempotent")
-            sw.expect_synchronized(entry, [inst])
+            sw.expect_one_synchronized(entry, inst)
 
 
 def _sweep_rankpres_32(sw: _Sweeper, max_degree: int):
@@ -301,7 +351,7 @@ def _sweep_rankpres_32(sw: _Sweeper, max_degree: int):
             if find_rank_preserving_g(entry.group, inst.transformation()) is None:
                 sw.tick()
             else:
-                sw.expect_synchronized(entry, [inst])
+                sw.expect_one_synchronized(entry, inst)
 
 
 def grid_projection(m: int = 3) -> Transformation:
@@ -376,7 +426,7 @@ def _nonsync_closure_instances(sw: _Sweeper, max_degree: int):
                     kt for kt in kernel_types_of_rank(n, rank) if not kt.is_uniform()
                 )
         for kt in types:
-            for inst in sw.unsynchronized(entry, instances_of_type(entry.group, kt)):
+            for inst in sw.unsynchronized(entry, kt):
                 f = inst.transformation()
                 try:
                     c = group_and_map_closure(entry.group, f, cap=sw.cap)
@@ -473,7 +523,7 @@ def _sweep_lemma41_diagnostic(sw: _Sweeper, max_degree: int):
                         KernelType(tuple(sorted([p, q] + [1] * (n - p - q), reverse=True)))
                     )
         for kt in types:
-            for inst in sw.unsynchronized(entry, instances_of_type(entry.group, kt)):
+            for inst in sw.unsynchronized(entry, kt):
                 found += 1
                 f = inst.transformation()
                 record = sw.confirm_not_synchronizing(entry, f)

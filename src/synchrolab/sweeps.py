@@ -24,7 +24,10 @@ kernel type. Both reductions are used:
   image tuple to 0, 1, ..., t-1 (t = transitivity degree), then removes the
   residual pointwise-stabilizer symmetry when that stabilizer is small
   enough to enumerate. When it is too large the enumeration may repeat
-  equivalent maps, which costs time but never correctness.
+  equivalent maps, which costs time but never correctness. The
+  assignments of one rank come as one int8 array, a row per assignment in
+  lexicographic order; the canonicity filter is the same test as on
+  tuples, run on all stabilizer elements at once over chunks of rows.
 
 Idempotent sweeps cannot use right multiplication (it destroys
 idempotency), so they enumerate, per kernel representative, the finitely
@@ -32,14 +35,20 @@ many idempotent assignments (one image point inside each block).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import combinations, permutations, product
+from itertools import chain, combinations, permutations, product, repeat
 from typing import Iterator
+
+import numpy as np
 
 from .groups import PermutationGroup, act_on_blocks
 from .transformations import KernelType, Partition, Transformation
 
 STABILIZER_ENUMERATION_CAP = 20_000
+# (stabilizer element, row, coordinate) cells the canonicity filter
+# compares at once
+CANONICITY_CHUNK_CELLS = 1 << 18
 
 
 def partitions_of_type(kt: KernelType) -> Iterator[Partition]:
@@ -100,42 +109,65 @@ def canonical_kernel(group: PermutationGroup, blocks: Partition):
     return Partition(blocks.degree, best), group.element(word)
 
 
-def assignment_representatives(
-    group: PermutationGroup, rank: int
-) -> Iterator[tuple[int, ...]]:
+def assignment_representatives(group: PermutationGroup, rank: int) -> np.ndarray:
     """Injective image tuples up to the right action of the group.
 
-    The first min(t, rank) coordinates are pinned to 0, 1, ... where t is
-    the transitivity degree; the remainder enumerates all injections,
-    filtered to canonical form under the residual pointwise stabilizer when
-    that stabilizer is enumerable.
+    One int8 row per assignment, in lexicographic order. The first
+    min(t, rank) coordinates are pinned to 0, 1, ... where t is the
+    transitivity degree; the remainder enumerates all injections, filtered
+    to canonical form under the residual pointwise stabilizer when that
+    stabilizer is enumerable. With no free coordinate left the single row
+    is canonical, and the stabilizer is not enumerated.
     """
     n = group.degree
     if not 1 <= rank <= n:
         raise ValueError("rank out of range")
     t = min(group.transitivity_degree(), rank)
-    prefix = tuple(range(t))
-    rest = [x for x in range(n) if x >= t]
-    stab: list[tuple[int, ...]] | None = None
-    if t > 0 and 1 < group.stabilizer_order(t) <= STABILIZER_ENUMERATION_CAP:
+    free = rank - t
+    count = math.perm(n - t, free)
+    rows = np.fromiter(
+        chain.from_iterable(
+            chain.from_iterable(zip(repeat(range(t)), permutations(range(t, n), free)))
+        ),
+        dtype=np.int8,
+        count=count * rank,
+    ).reshape(count, rank)
+    if free and t > 0 and 1 < group.stabilizer_order(t) <= STABILIZER_ENUMERATION_CAP:
         # residual symmetry small enough to remove exactly; otherwise the
         # enumeration may repeat equivalent maps, which is sound
-        stab = [
-            g
-            for g in group.stabilizer_elements(t, STABILIZER_ENUMERATION_CAP)
-            if any(g[x] != x for x in range(n))
-        ]
-    for suffix in permutations(rest, rank - t):
-        tup = prefix + suffix
-        if stab:
-            canonical = True
-            for g in stab:
-                if tuple(g[x] for x in tup) < tup:
-                    canonical = False
-                    break
-            if not canonical:
-                continue
-        yield tup
+        stab = np.array(
+            [
+                g
+                for g in group.stabilizer_elements(t, STABILIZER_ENUMERATION_CAP)
+                if any(g[x] != x for x in range(n))
+            ],
+            dtype=np.int8,
+        )
+        rows = rows[_canonical(rows, stab)]
+    return rows
+
+
+def _canonical(rows: np.ndarray, stab: np.ndarray) -> np.ndarray:
+    """keep[i]: no element of stab moves rows[i] to a lexicographically smaller row."""
+    count, rank = rows.shape
+    keep = np.empty(count, dtype=bool)
+    step = max(1, CANONICITY_CHUNK_CELLS // (len(stab) * rank))
+    for lo in range(0, count, step):
+        chunk = rows[lo : lo + step]
+        moved = stab[:, chunk]
+        # the first coordinate where a moved row differs decides; a row
+        # moved onto itself differs nowhere, argmax gives 0 and less is false
+        first = (moved != chunk).argmax(axis=2)[..., None]
+        smaller = np.take_along_axis(moved < chunk, first, axis=2)
+        keep[lo : lo + step] = ~smaller.any(axis=(0, 2))
+    return keep
+
+
+def representatives_of_type(
+    group: PermutationGroup, kt: KernelType
+) -> tuple[list[Partition], np.ndarray]:
+    """Kernel representatives and assignment rows; each pair is one instance."""
+    return kernel_orbit_representatives(group, kt), assignment_representatives(group, kt.rank)
 
 
 def map_from_assignment(blocks: Partition, assignment: tuple[int, ...]) -> tuple[int, ...]:
@@ -160,8 +192,8 @@ def instances_of_type(
     group: PermutationGroup, kt: KernelType
 ) -> Iterator[SweepInstance]:
     """Representative maps of one kernel type, up to two-sided reduction."""
-    reps = kernel_orbit_representatives(group, kt)
-    assignments = list(assignment_representatives(group, kt.rank))
+    reps, rows = representatives_of_type(group, kt)
+    assignments = [tuple(row) for row in rows.tolist()]
     for kernel in reps:
         for assignment in assignments:
             yield SweepInstance(
@@ -170,9 +202,8 @@ def instances_of_type(
 
 
 def count_instances_of_type(group: PermutationGroup, kt: KernelType) -> int:
-    reps = len(kernel_orbit_representatives(group, kt))
-    assignments = sum(1 for _ in assignment_representatives(group, kt.rank))
-    return reps * assignments
+    reps, rows = representatives_of_type(group, kt)
+    return len(reps) * len(rows)
 
 
 def idempotent_instances_of_type(

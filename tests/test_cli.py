@@ -33,6 +33,16 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def run_rejected(capsys, *argv) -> str:
+    """Stderr of a command line rejected as bad input, which exits 64 (EX_USAGE)."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return captured.err
+
+
 class TestCatalogCommands:
     def test_list(self, capsys):
         code, out, _ = run(capsys, "catalog", "list", "--max-degree", "6")
@@ -47,8 +57,8 @@ class TestCatalogCommands:
         assert "primitive:   True" in out
 
     def test_show_unknown(self, capsys):
-        with pytest.raises(SystemExit):
-            run(capsys, "catalog", "show", "wat")
+        err = run_rejected(capsys, "catalog", "show", "wat")
+        assert err == "error: no catalog entry named 'wat'\n"
 
 
 class TestCheck:
@@ -94,8 +104,10 @@ class TestCheck:
         assert "permutation" in out
 
     def test_missing_group(self, capsys):
-        with pytest.raises(SystemExit):
-            run(capsys, "check", "--group", "no-such-thing", "--map", "[1,1]")
+        err = run_rejected(capsys, "check", "--group", "no-such-thing", "--map", "[1,1]")
+        assert err == (
+            "error: 'no-such-thing' is neither a readable file nor a catalog entry name\n"
+        )
 
     def test_json_line_bytes(self, capsys):
         # the same record, key order and separators that verify reports use
@@ -181,8 +193,8 @@ class TestVerify:
         assert summary["status"] == "pass"
 
     def test_rejects_unknown_id(self, capsys):
-        with pytest.raises(SystemExit):
-            run(capsys, "verify", "whatever")
+        err = run_rejected(capsys, "verify", "whatever")
+        assert "synchrolab verify: error: argument id: invalid choice: 'whatever'" in err
 
 
 class TestDepth:
@@ -285,26 +297,21 @@ class TestScanAndClosure:
 
     @pytest.mark.parametrize("value", ["0", "-3", "abc"])
     def test_closure_bad_cap_flag(self, capsys, value):
-        with pytest.raises(SystemExit) as exc:
-            run(capsys, "closure", "--group", "S3", "--map", "[1,1,3]", "--cap", value)
-        assert str(exc.value) == (
-            f"error: --cap must be a positive integer, got {value!r}"
+        err = run_rejected(
+            capsys, "closure", "--group", "S3", "--map", "[1,1,3]", "--cap", value
         )
+        assert err == f"error: --cap must be a positive integer, got {value!r}\n"
 
     @pytest.mark.parametrize("value", ["0", "abc"])
     def test_bad_cap_env(self, capsys, monkeypatch, value):
         monkeypatch.setenv("SYNCHROLAB_CAP", value)
-        message = f"error: SYNCHROLAB_CAP must be a positive integer, got {value!r}"
-        with pytest.raises(SystemExit) as exc:
-            run(capsys, "closure", "--group", "S3", "--map", "[1,1,3]")
-        assert str(exc.value) == message
-        with pytest.raises(SystemExit) as exc:
-            run(capsys, "verify", "rystsov", "--max-degree", "4")
-        assert str(exc.value) == message
+        message = f"error: SYNCHROLAB_CAP must be a positive integer, got {value!r}\n"
+        assert run_rejected(capsys, "closure", "--group", "S3", "--map", "[1,1,3]") == message
+        assert run_rejected(capsys, "verify", "rystsov", "--max-degree", "4") == message
 
 
 class TestBadInput:
-    """A malformed map or kernel type ends in one error line, not a traceback."""
+    """A malformed map or kernel type ends in one error line and exit 64, not a traceback."""
 
     @pytest.mark.parametrize("command", ["check", "word", "gr", "closure"])
     @pytest.mark.parametrize(
@@ -318,24 +325,20 @@ class TestBadInput:
         ],
     )
     def test_bad_map(self, capsys, command, text, reason):
-        with pytest.raises(SystemExit) as exc:
-            run(capsys, command, "--group", "S5", "--map", text)
-        message = str(exc.value)
+        message = run_rejected(capsys, command, "--group", "S5", "--map", text)
         assert message.startswith(f"error: --map {text!r}: ")
         assert reason in message
-        assert "\n" not in message
+        assert message.count("\n") == 1
 
     @pytest.mark.parametrize(
         "text,reason",
         [("2,2,x", "invalid literal"), ("0,5", "sizes must be positive")],
     )
     def test_bad_kernel_type(self, capsys, text, reason):
-        with pytest.raises(SystemExit) as exc:
-            run(capsys, "scan", "--degree", "5", "--kernel-type", text)
-        message = str(exc.value)
+        message = run_rejected(capsys, "scan", "--degree", "5", "--kernel-type", text)
         assert message.startswith(f"error: --kernel-type {text!r}: ")
         assert reason in message
-        assert "\n" not in message
+        assert message.count("\n") == 1
 
     @pytest.mark.parametrize(
         "argv",
@@ -346,12 +349,36 @@ class TestBadInput:
         ],
     )
     def test_max_degree_beyond_catalog(self, capsys, argv):
-        with pytest.raises(SystemExit) as exc:
-            run(capsys, *argv)
-        message = str(exc.value)
+        message = run_rejected(capsys, *argv)
         assert message.startswith(f"error: --max-degree {argv[-1]}: ")
         assert "catalog degrees stop at 64" in message
-        assert "\n" not in message
+        assert message.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["check", "--group", "S5"],
+            ["verify", "rystsov", "--max-degree", "ten"],
+            ["scan", "--no-such-flag"],
+        ],
+    )
+    def test_command_line_errors_exit_64(self, capsys, argv):
+        message = run_rejected(capsys, *argv)
+        assert message.startswith("usage: synchrolab")
+        assert ": error: " in message
+
+    def test_bad_input_exit_code_from_a_shell(self):
+        """The process status, which verify's 0/1/2 never takes, is 64."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "synchrolab", "check", "--group", "S5", "--map", "[1,1]"],
+            capture_output=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 64
+        assert proc.stdout == b""
+        assert proc.stderr.decode() == "error: --map '[1,1]': expected degree 5, got 2\n"
 
 
 def test_closed_pipe_ends_quietly():

@@ -89,6 +89,46 @@ class TestBudgets:
         report = verify_theorem("imprimitivity-char", max_degree=8, budget=budget)
         assert report.status == "inconclusive"
 
+    @pytest.mark.parametrize("theorem_id", ["rystsov", "imprimitivity-char", "small-ranks"])
+    def test_zero_seconds_stop_at_the_first_instance(self, theorem_id):
+        report = verify_theorem(theorem_id, max_degree=8, budget=Budget(seconds=0.0))
+        assert (report.status, report.instances_tested) == ("inconclusive", 1)
+
+    # (max_instances, instances_tested, status, counterexamples, witnesses),
+    # recorded with one solver call per map before verdicts came in blocks:
+    # a run cut by the budget counts the instance that broke it
+    BUDGET_OUTCOMES = {
+        "rystsov": [
+            (1, 2, "inconclusive", 0, 0),
+            (5, 6, "inconclusive", 0, 0),
+            (511, 512, "inconclusive", 0, 3),
+            (512, 513, "inconclusive", 0, 3),
+            (513, 514, "inconclusive", 0, 3),
+            (4097, 3464, "pass", 0, 4),
+        ],
+        "imprimitivity-char": [
+            (1, 2, "inconclusive", 0, 0),
+            (5, 6, "inconclusive", 0, 0),
+            (511, 512, "inconclusive", 0, 4),
+            (512, 513, "inconclusive", 0, 4),
+            (513, 514, "inconclusive", 0, 4),
+            (4097, 4098, "inconclusive", 0, 4),
+        ],
+    }
+
+    @pytest.mark.parametrize("theorem_id", sorted(BUDGET_OUTCOMES))
+    def test_instance_budget_is_exact(self, theorem_id):
+        for limit, tested, status, counterexamples, witnesses in self.BUDGET_OUTCOMES[theorem_id]:
+            budget = Budget(seconds=600.0, max_instances=limit)
+            report = verify_theorem(theorem_id, max_degree=8, budget=budget)
+            got = (
+                report.instances_tested,
+                report.status,
+                len(report.counterexamples),
+                len(report.witnesses),
+            )
+            assert got == (tested, status, counterexamples, witnesses), limit
+
 
 class TestReports:
     def test_table_format(self):

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from synchrolab.catalog import (
@@ -15,6 +16,7 @@ from synchrolab.catalog import (
 )
 from synchrolab.semigroups import group_and_map_closure
 from synchrolab.sweeps import (
+    STABILIZER_ENUMERATION_CAP,
     assignment_representatives,
     canonical_instance,
     canonical_kernel,
@@ -35,6 +37,32 @@ def all_maps_of_type(n, kt):
     for blocks in partitions_of_type(kt):
         for assignment in itertools.permutations(range(n), kt.rank):
             yield Transformation(map_from_assignment(blocks, assignment))
+
+
+def reference_assignment_representatives(group, rank):
+    """The tuple generator the int8 assignment array replaced.
+
+    The first min(t, rank) coordinates are pinned to 0, 1, ... (t the
+    transitivity degree); the other coordinates run over all injections in
+    lexicographic order, and a tuple is kept unless a non-identity element
+    of the pointwise stabilizer, when that is enumerable, moves it to a
+    lexicographically smaller tuple.
+    """
+    n = group.degree
+    t = min(group.transitivity_degree(), rank)
+    prefix = tuple(range(t))
+    stab = None
+    if t > 0 and 1 < group.stabilizer_order(t) <= STABILIZER_ENUMERATION_CAP:
+        stab = [
+            g
+            for g in group.stabilizer_elements(t, STABILIZER_ENUMERATION_CAP)
+            if any(g[x] != x for x in range(n))
+        ]
+    for suffix in itertools.permutations(range(t, n), rank - t):
+        tup = prefix + suffix
+        if stab and any(tuple(g[x] for x in tup) < tup for g in stab):
+            continue
+        yield tup
 
 
 def reference_orbit(group, partition):
@@ -147,29 +175,38 @@ class TestKernelOrbitWalk:
 
 class TestAssignmentRepresentatives:
     def test_symmetric_fully_normalised(self):
-        reps = list(assignment_representatives(symmetric_group(6), 4))
-        assert reps == [(0, 1, 2, 3)]
+        reps = assignment_representatives(symmetric_group(6), 4)
+        assert reps.tolist() == [[0, 1, 2, 3]]
 
     def test_alternating_rank_n_minus_1(self):
-        reps = list(assignment_representatives(alternating_group(6), 5))
+        reps = assignment_representatives(alternating_group(6), 5)
         assert len(reps) == 2
 
     def test_sharply_3_transitive_count(self):
         # pointwise stabilizer of 3 points is trivial: the count is exactly
         # the number of injections of the remaining coordinates
         group = projective_linear_group(5)
-        reps = list(assignment_representatives(group, 5))
+        reps = assignment_representatives(group, 5)
         assert len(reps) == math.perm(3, 2)
 
     def test_cyclic_prefix_only(self):
-        reps = list(assignment_representatives(cyclic_group(5), 2))
+        reps = assignment_representatives(cyclic_group(5), 2)
         assert all(r[0] == 0 for r in reps)
         assert len(reps) == 4
 
     def test_dihedral_dedup(self):
         # the reflection fixing 0 pairs y with 7-y, and fixes nothing
-        reps = list(assignment_representatives(dihedral_group(7), 2))
-        assert reps == [(0, 1), (0, 2), (0, 3)]
+        reps = assignment_representatives(dihedral_group(7), 2)
+        assert reps.tolist() == [[0, 1], [0, 2], [0, 3]]
+
+    @pytest.mark.parametrize("entry", build_catalog(10), ids=lambda e: e.name)
+    def test_rows_match_reference_generator(self, entry):
+        group = entry.group
+        for rank in range(1, group.degree + 1):
+            rows = assignment_representatives(group, rank)
+            assert rows.dtype == np.int8 and rows.shape[1] == rank
+            expected = list(reference_assignment_representatives(group, rank))
+            assert [tuple(row) for row in rows.tolist()] == expected, rank
 
 
 class TestReductionSoundness:

@@ -2,6 +2,7 @@ import itertools
 import random
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -397,6 +398,51 @@ class TestOrbitSolver:
     def test_grid_projection(self):
         solver = OrbitCollapseSolver(grid_group(3))
         assert not solver.synchronizes_images(GRID_PROJECTION.images)
+
+
+def _batch_rows(entry, count):
+    """Seeded image rows of every rank, a permutation and the constructed failures."""
+    group, n = entry.group, entry.degree
+    rng = random.Random(f"batch:{entry.name}")
+    maps = [_map_of_rank(rng, n, rng.randint(1, n)).images for _ in range(count)]
+    maps.append(_random_element(rng, group))
+    for _ in range(2):
+        f = _non_synchronizing_map(rng, entry.name, group)
+        if f is not None:
+            maps.append(f.images)
+    return np.array(maps, dtype=np.int8)
+
+
+class TestBatchSolver:
+    """The numpy batch form against the per-map orbit solver, up to degree 64."""
+
+    def test_masks_and_verdicts_match_per_map(self):
+        outcomes = {}
+        for entry in build_catalog(64):
+            solver = OrbitCollapseSolver(entry.group)
+            # past one block where blocks are short (degree 47 and up)
+            rows = _batch_rows(entry, min(solver.block_rows + 3, 64))
+            masks = solver.collapsing_orbit_masks(rows)
+            verdicts = solver.synchronizes_images(rows)
+            assert masks.dtype == np.uint64 and verdicts.dtype == bool
+            for row, mask, verdict in zip(rows.tolist(), masks.tolist(), verdicts.tolist()):
+                assert mask == solver.collapsing_orbit_mask(row), (entry.name, row)
+                assert verdict == solver.synchronizes_images(tuple(row)), (entry.name, row)
+                outcomes.setdefault(entry.degree, set()).add(verdict)
+        assert sorted(outcomes) == list(range(3, 65))
+        assert all(seen == {True, False} for seen in outcomes.values())
+
+    def test_empty_block(self):
+        solver = OrbitCollapseSolver(cyclic_group(6))
+        assert solver.synchronizes_images(np.empty((0, 6), dtype=np.int8)).shape == (0,)
+
+    def test_too_many_pair_orbits(self):
+        # every one of the 66 pairs is its own orbit under the trivial group
+        solver = OrbitCollapseSolver(trivial_group(12))
+        assert solver.orbit_count == 66
+        assert solver.synchronizes_images(tuple([0] * 12))
+        with pytest.raises(ValueError, match="at most 63 pair orbits"):
+            solver.synchronizes_images(np.zeros((1, 12), dtype=np.int8))
 
 
 def _small_instance():
