@@ -230,6 +230,8 @@ def cmd_depth(args) -> int:
 
 
 def cmd_scan(args) -> int:
+    if args.rank is not None and args.rank < 1:
+        _usage_error(f"--rank {args.rank}: a rank is at least 1")
     entries = build_catalog(_max_degree(args.max_degree))
     if args.degree:
         entries = [e for e in entries if e.degree == args.degree]
@@ -242,7 +244,7 @@ def cmd_scan(args) -> int:
             if wanted_type.degree != n:
                 continue
             types = [wanted_type]
-        elif args.rank:
+        elif args.rank is not None:
             if args.rank >= n:
                 continue
             types = kernel_types_of_rank(n, args.rank)

@@ -8,14 +8,16 @@ claim held. A run produces an ExperimentReport whose status is:
 - inconclusive  the time or instance budget ran out first;
 - pass          the sweep completed with zero counterexamples.
 
-The sweeps over every map of a kernel type run through one loop,
-_Sweeper.unsynchronized. It decides the maps a block of assignment rows at
-a time with one numpy call of the orbit solver, so a block keeps about
-sync.BLOCK_PAIR_CELLS (row, point pair) cells of uint64 masks in memory,
-besides the type's int8 assignment array. It ticks the budget once per
-instance, as if the instances ran one by one, and yields the instances
-the solver does not synchronize, in sweep order. The sweeps over
-(k,1,...,1) maps share one body:
+Every sweep decides its maps in blocks with the numpy orbit solver, which
+keeps about sync.BLOCK_PAIR_CELLS (row, point pair) cells of uint64 masks
+in memory per block. The sweeps over every map of a kernel type run
+through _Sweeper.unsynchronized, a block of assignment rows at a time,
+besides the type's int8 assignment array; idempotent-32 and rankpres-32,
+which cover some maps of a type only, run through
+_Sweeper.expect_covered_synchronized, one block per catalog group. Both
+tick the budget once per instance, as if the instances ran one by one,
+and report the instances the solver does not synchronize in sweep order.
+The sweeps over (k,1,...,1) maps share one body:
 `imprimitivity-char` takes every k from 2 to n-1, and `rystsov` (primitive
 iff every rank n-1 map synchronizes) is its k = 2 case.
 
@@ -208,13 +210,26 @@ class _Sweeper:
                 self.confirm_not_synchronizing(entry, inst.transformation())
             )
 
-    def expect_one_synchronized(self, entry: CatalogEntry, inst: SweepInstance) -> None:
-        """Tick for one instance that the claim says must synchronize."""
-        self.tick()
-        if not self.solver(entry).synchronizes_images(inst.images):
-            self.report.counterexamples.append(
-                self.confirm_not_synchronizing(entry, inst.transformation())
-            )
+    def expect_covered_synchronized(self, entry: CatalogEntry, maps) -> None:
+        """Tick once per map; those the claim covers must synchronize.
+
+        maps yields an image tuple for each map the claim covers and None
+        for the others. The covered maps are decided in one block call
+        once maps runs out, or the budget does, so counterexamples come in
+        sweep order and instances_tested as with one decision per map.
+        """
+        covered = bytearray()  # one byte per point
+        try:
+            for images in maps:
+                self.tick()
+                if images is not None:
+                    covered.extend(images)
+        finally:
+            rows = np.frombuffer(covered, dtype=np.int8).reshape(-1, entry.degree)
+            for i in np.flatnonzero(~self.solver(entry).synchronizes_images(rows)).tolist():
+                self.report.counterexamples.append(
+                    self.confirm_not_synchronizing(entry, Transformation(tuple(rows[i].tolist())))
+                )
 
     def expect_witness_failure(
         self, entry: CatalogEntry, f: Transformation, context: str
@@ -336,22 +351,26 @@ def _type_32(n: int) -> KernelType:
 def _sweep_idempotent_32(sw: _Sweeper, max_degree: int):
     """Primitive groups synchronize every idempotent of type (3,2,1,...,1)."""
     for entry in _primitive_entries(max_degree, min_degree=5):
-        kt = _type_32(entry.degree)
-        for inst in idempotent_instances_of_type(entry.group, kt):
-            if not inst.transformation().is_idempotent():
-                raise AssertionError("idempotent enumeration produced a non-idempotent")
-            sw.expect_one_synchronized(entry, inst)
+        sw.expect_covered_synchronized(entry, _idempotent_images(entry))
+
+
+def _idempotent_images(entry: CatalogEntry):
+    for inst in idempotent_instances_of_type(entry.group, _type_32(entry.degree)):
+        if not inst.transformation().is_idempotent():
+            raise AssertionError("idempotent enumeration produced a non-idempotent")
+        yield inst.images
 
 
 def _sweep_rankpres_32(sw: _Sweeper, max_degree: int):
     """Type (3,2,1,...,1) maps with a rank-preserving group element synchronize."""
     for entry in _primitive_entries(max_degree, min_degree=5):
-        kt = _type_32(entry.degree)
-        for inst in instances_of_type(entry.group, kt):
-            if find_rank_preserving_g(entry.group, inst.transformation()) is None:
-                sw.tick()
-            else:
-                sw.expect_one_synchronized(entry, inst)
+        group = entry.group
+        sw.expect_covered_synchronized(entry, (
+            inst.images
+            if find_rank_preserving_g(group, inst.transformation()) is not None
+            else None
+            for inst in instances_of_type(group, _type_32(entry.degree))
+        ))
 
 
 def grid_projection(m: int = 3) -> Transformation:

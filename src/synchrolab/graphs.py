@@ -121,10 +121,6 @@ class Graph:
                     out.append((v, w))
         return out
 
-    def max_clique(self) -> tuple[int, ...]:
-        """A maximum clique, found by branch and bound with colour bounds."""
-        return tuple(_bits(_max_clique_mask(self.rows, self.n)))
-
     def clique_number(self) -> int:
         return _max_clique_mask(self.rows, self.n).bit_count()
 

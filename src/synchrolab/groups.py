@@ -279,9 +279,6 @@ class PermutationGroup:
     def is_transitive(self) -> bool:
         return len(self._orbit_partition) == 1
 
-    def orbit_of(self, x: int) -> tuple[int, ...]:
-        return self._orbit_partition.block_containing(x)
-
     def minimal_block(self, a: int, b: int) -> frozenset[int]:
         """Smallest block of imprimitivity containing both ``a`` and ``b``.
 
@@ -503,10 +500,6 @@ class BlockSystem:
                     raise ValueError(
                         f"generator {g} breaks block {sorted(b)}"
                     )
-
-    @property
-    def block_count(self) -> int:
-        return len(self.partition)
 
 
 def parse_group_text(text: str) -> tuple[str | None, PermutationGroup]:

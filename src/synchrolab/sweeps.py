@@ -201,11 +201,6 @@ def instances_of_type(
             )
 
 
-def count_instances_of_type(group: PermutationGroup, kt: KernelType) -> int:
-    reps, rows = representatives_of_type(group, kt)
-    return len(reps) * len(rows)
-
-
 def idempotent_instances_of_type(
     group: PermutationGroup, kt: KernelType
 ) -> Iterator[SweepInstance]:
@@ -280,6 +275,8 @@ def _normalise_assignment(
 
 def kernel_types_of_rank(n: int, rank: int) -> list[KernelType]:
     """All kernel types of maps of the given rank on n points."""
+    if not 1 <= rank <= n:
+        raise ValueError(f"rank {rank} is outside 1..{n}")
 
     def parts(total: int, count: int, maximum: int):
         if count == 1:

@@ -141,13 +141,6 @@ class PairCollapseAutomaton:
         keys = ends[:count] * n + ends[count:]
         return frozenset(keys[np.frombuffer(self._collapses, dtype=bool)].tolist())
 
-    def is_collapsible(self, v: int, w: int) -> bool:
-        if v == w:
-            return True
-        if v > w:
-            v, w = w, v
-        return bool(self._collapses[self._index(v, w)])
-
     def least_collapsible_pair(self, points: list[int]) -> tuple[int, int] | None:
         """The lexicographically least collapsible pair of the sorted points."""
         n = self.degree
@@ -377,10 +370,10 @@ def shortest_word_length(group: PermutationGroup, f: Transformation) -> int | No
     return None
 
 
-# the batch form keeps about this many (row, pair) cells per block in flight
+# the orbit solver keeps about this many (row, pair) cells per block in flight
 BLOCK_PAIR_CELLS = 1 << 16
-# bit 63 of a batch collapsing mask stands for a single point, so the batch
-# form takes at most 63 pair orbits
+# bit 63 of a collapsing mask stands for a single point, so the orbit
+# solver takes at most 63 pair orbits
 _SINK = np.uint64(1 << 63)
 
 
@@ -390,86 +383,59 @@ class OrbitCollapseSolver:
     The collapsible pair set is invariant under the group, so the backward
     reachability search can run on pair orbits instead of pairs: an orbit
     collapses when some member pair is sent by the map to a single point or
-    into a collapsing orbit. Per map this costs one pass over the pairs
-    plus a fixed-point loop over the handful of orbits.
-
-    synchronizes_images decides one map given as a tuple of images, in
-    Python (collapsing_orbit_mask), or a (rows x n) array of image rows in
-    numpy (collapsing_orbit_masks), block_rows rows at a time. Both agree
-    with PairCollapseAutomaton exactly, and with each other; the test suite
-    checks both equivalences on catalog groups up to degree 64.
+    into a collapsing orbit. For a (rows x n) array of image rows this is
+    one numpy pass over the pairs plus a fixed-point loop over the orbits,
+    block_rows rows at a time. The per-group tables are built once: pair
+    ends sorted by orbit, reduceat starts, and one orbit bit per ordered
+    point pair, in uint64, so the solver takes at most 63 pair orbits (a
+    transitive group of degree n has at most n-1). The test suite checks
+    the masks against PairCollapseAutomaton on catalog groups up to
+    degree 64.
     """
 
     def __init__(self, group: PermutationGroup):
-        self.group = group
         n = group.degree
         ids, count = group._pair_orbit_ids
+        if count > 63:
+            raise ValueError(
+                f"the orbit solver takes at most 63 pair orbits; the group has {count}"
+            )
         self.n = n
-        self.orbit_ids = ids
         self.orbit_count = count
-        self.pairs = [(v, w) for v in range(n) for w in range(v + 1, n)]
-        self.pair_orbit = [ids[v * n + w] for v, w in self.pairs]
-        self.block_rows = max(1, BLOCK_PAIR_CELLS // max(1, len(self.pairs)))
+        ends = _pair_tables(n)[0].astype(np.intp)
+        pairs = len(ends) // 2
+        v, w = ends[:pairs], ends[pairs:]
+        orbit = np.array(ids, dtype=np.intp)[v * n + w]
+        order = np.argsort(orbit, kind="stable")
+        orbit = orbit[order]
+        first, second = v[order], w[order]
+        self._first, self._second = first, second
+        self._starts = np.searchsorted(orbit, np.arange(count))
+        # bits[a*n + b] is the bit of the orbit of {a, b}, and _SINK for a = b
+        bits = np.full((n, n), _SINK)
+        bits[first, second] = bits[second, first] = np.left_shift(
+            np.uint64(1), orbit.astype(np.uint64)
+        )
+        self._bits = bits.ravel()
+        # a column of the orbit bits in orbit order
+        self._orbit_bits = np.left_shift(np.uint64(1), np.arange(count, dtype=np.uint64))[:, None]
+        self._all = np.uint64((1 << count) - 1)
+        self.block_rows = max(1, BLOCK_PAIR_CELLS // max(1, pairs))
 
     def synchronizes_images(self, images):
         """Verdict for a tuple of images, or a bool array for an array of image rows."""
         if isinstance(images, np.ndarray):
-            masks = self.collapsing_orbit_masks(images)
-            return masks == np.uint64((1 << self.orbit_count) - 1)
-        return self.collapsing_orbit_mask(images) == (1 << self.orbit_count) - 1
-
-    def collapsing_orbit_mask(self, images) -> int:
-        """Bitmask of pair orbits that collapse; complement spans the obstruction."""
-        n = self.n
-        ids = self.orbit_ids
-        sink = 0
-        successors = [0] * self.orbit_count
-        for (v, w), o in zip(self.pairs, self.pair_orbit):
-            a = images[v]
-            b = images[w]
-            if a == b:
-                sink |= 1 << o
-            else:
-                if a > b:
-                    a, b = b, a
-                successors[o] |= 1 << ids[a * n + b]
-        collapsing = sink
-        changed = True
-        while changed:
-            changed = False
-            for o in range(self.orbit_count):
-                bit = 1 << o
-                if not collapsing >> o & 1 and successors[o] & collapsing:
-                    collapsing |= bit
-                    changed = True
-        return collapsing
-
-    @cached_property
-    def _batch_tables(self):
-        """Pair ends sorted by orbit, reduceat starts, bits per ordered point pair.
-
-        bits[a*n + b] is the bit of the orbit of {a, b}, and _SINK for a = b;
-        orbit_bits is a column of the orbit bits in orbit order.
-        """
-        count = self.orbit_count
-        if count > 63:
-            raise ValueError(
-                f"batch verdicts take at most 63 pair orbits; the group has {count}"
-            )
-        n = self.n
-        orbit = np.array(self.pair_orbit, dtype=np.intp)
-        order = np.argsort(orbit, kind="stable")
-        ends = np.array(self.pairs, dtype=np.intp).reshape(-1, 2)[order].T.copy()
-        starts = np.searchsorted(orbit[order], np.arange(count))
-        bits = np.full((n, n), _SINK)
-        v, w = ends
-        bits[v, w] = bits[w, v] = np.left_shift(np.uint64(1), orbit[order].astype(np.uint64))
-        orbit_bits = np.left_shift(np.uint64(1), np.arange(count, dtype=np.uint64))
-        return ends, starts, bits.ravel(), orbit_bits[:, None]
+            return self.collapsing_orbit_masks(images) == self._all
+        row = np.array([images], dtype=np.int8)
+        return bool(self.collapsing_orbit_masks(row)[0] == self._all)
 
     def collapsing_orbit_masks(self, images: np.ndarray) -> np.ndarray:
-        """collapsing_orbit_mask of every row of a (rows x n) image array, as uint64."""
-        (first, second), starts, bits, orbit_bits = self._batch_tables
+        """Bitmask of the collapsing pair orbits of every row, as uint64.
+
+        The pairs of the orbits outside a row's mask span its obstruction graph.
+        """
+        first, second, starts = self._first, self._second, self._starts
+        bits, orbit_bits = self._bits, self._orbit_bits
         n = self.n
         masks = np.zeros(len(images), dtype=np.uint64)
         if not self.orbit_count:
@@ -494,12 +460,3 @@ class OrbitCollapseSolver:
                 collapsing = grown
             masks[lo : lo + step] = collapsing & ~_SINK
         return masks
-
-    def obstruction_graph_images(self, images) -> Graph:
-        mask = self.collapsing_orbit_mask(images)
-        edges = [
-            pair
-            for pair, o in zip(self.pairs, self.pair_orbit)
-            if not mask >> o & 1
-        ]
-        return Graph.from_edges(self.n, edges)

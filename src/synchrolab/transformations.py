@@ -58,9 +58,6 @@ class Transformation:
     def is_permutation(self) -> bool:
         return self.rank() == self.degree
 
-    def is_constant(self) -> bool:
-        return self.rank() == 1
-
     def kernel(self) -> "Partition":
         """Partition of the points into preimage classes."""
         classes: dict[int, list[int]] = {}

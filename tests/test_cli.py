@@ -354,6 +354,11 @@ class TestBadInput:
         assert "catalog degrees stop at 64" in message
         assert message.count("\n") == 1
 
+    @pytest.mark.parametrize("rank", ["0", "-1"])
+    def test_rank_below_one(self, capsys, rank):
+        message = run_rejected(capsys, "scan", "--max-degree", "5", "--rank", rank)
+        assert message == f"error: --rank {rank}: a rank is at least 1\n"
+
     @pytest.mark.parametrize(
         "argv",
         [

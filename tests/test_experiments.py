@@ -2,15 +2,22 @@ import hashlib
 
 import pytest
 
+from synchrolab.catalog import find_entry
 from synchrolab.experiments import (
-    Budget,
     THEOREMS,
+    Budget,
+    ExperimentReport,
+    _BudgetExceeded,
+    _Sweeper,
     check_rank_preserving_pairs,
     grid_projection,
     harvest_rank_preserving_pairs,
     verify_theorem,
 )
 from synchrolab.reports import report_emit
+from synchrolab.sweeps import instances_of_type
+from synchrolab.sync import synchronizes
+from synchrolab.transformations import KernelType, Transformation, format_transformation
 
 
 QUICK = Budget(seconds=600.0)
@@ -114,6 +121,24 @@ class TestBudgets:
             (513, 514, "inconclusive", 0, 4),
             (4097, 4098, "inconclusive", 0, 4),
         ],
+        # recorded with one solver call per covered map, before these two
+        # sweeps decided an entry's maps in one block
+        "rankpres-32": [
+            (1, 2, "inconclusive", 0, 0),
+            (5, 6, "inconclusive", 0, 0),
+            (511, 512, "inconclusive", 0, 0),
+            (512, 513, "inconclusive", 0, 0),
+            (513, 514, "inconclusive", 0, 0),
+            (4097, 4098, "inconclusive", 0, 0),
+        ],
+        "idempotent-32": [
+            (1, 2, "inconclusive", 0, 0),
+            (5, 6, "inconclusive", 0, 0),
+            (511, 390, "pass", 0, 0),
+            (512, 390, "pass", 0, 0),
+            (513, 390, "pass", 0, 0),
+            (4097, 390, "pass", 0, 0),
+        ],
     }
 
     @pytest.mark.parametrize("theorem_id", sorted(BUDGET_OUTCOMES))
@@ -128,6 +153,60 @@ class TestBudgets:
                 len(report.witnesses),
             )
             assert got == (tested, status, counterexamples, witnesses), limit
+
+
+class TestCoveredMaps:
+    """expect_covered_synchronized against one decision per map, cut mid-entry."""
+
+    @staticmethod
+    def covered_maps(entry):
+        # rank n-1 maps of an imprimitive group, some of which fail; every
+        # third one is left out of the claim
+        kt = KernelType((2,) + (1,) * (entry.degree - 2))
+        return [
+            None if i % 3 == 2 else inst.images
+            for i, inst in enumerate(instances_of_type(entry.group, kt))
+        ]
+
+    @staticmethod
+    def per_map(entry, maps, limit):
+        """(instances_tested, failing covered maps) of one tick and decision per map."""
+        tested, failing = 0, []
+        for images in maps:
+            tested += 1
+            if tested > limit:
+                break
+            if images is None:
+                continue
+            f = Transformation(images)
+            if not synchronizes(entry.group, f).synchronizes:
+                failing.append(format_transformation(f))
+        return tested, failing
+
+    def test_cut_falls_among_the_failures(self):
+        entry = find_entry("C6")
+        maps = self.covered_maps(entry)
+        assert len(maps) == 360
+        every = self.per_map(entry, maps, len(maps))[1]
+        assert 0 < len(self.per_map(entry, maps, 200)[1]) < len(every)
+
+    @pytest.mark.parametrize("limit", [0, 1, 121, 200, 240, 360, 10_000])
+    def test_budget_cut_matches_per_map_loop(self, limit):
+        entry = find_entry("C6")
+        maps = self.covered_maps(entry)
+        tested, failing = self.per_map(entry, maps, limit)
+        report = ExperimentReport("rystsov", 6)
+        sweeper = _Sweeper(report, Budget(seconds=600.0, max_instances=limit), cap=10_000)
+        cut = limit < len(maps)
+        try:
+            sweeper.expect_covered_synchronized(entry, iter(maps))
+        except _BudgetExceeded:
+            assert cut
+        else:
+            assert not cut
+        assert report.instances_tested == tested
+        assert [r.map_text for r in report.counterexamples] == failing
+        assert all(not r.verdict for r in report.counterexamples)
 
 
 class TestReports:

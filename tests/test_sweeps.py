@@ -20,7 +20,6 @@ from synchrolab.sweeps import (
     assignment_representatives,
     canonical_instance,
     canonical_kernel,
-    count_instances_of_type,
     idempotent_instances_of_type,
     instances_of_type,
     kernel_orbit_representatives,
@@ -324,9 +323,11 @@ class TestTypeTables:
         types = kernel_types_of_rank(6, 2)
         assert {t.sizes for t in types} == {(5, 1), (4, 2), (3, 3)}
 
-    def test_counts_match_instances(self):
-        group = cyclic_group(5)
-        kt = KernelType((2, 1, 1, 1))
-        assert count_instances_of_type(group, kt) == sum(
-            1 for _ in instances_of_type(group, kt)
-        )
+    @pytest.mark.parametrize("rank", [0, -1, 5])
+    def test_rank_outside_range(self, rank):
+        with pytest.raises(ValueError, match=f"rank {rank} is outside 1..4"):
+            kernel_types_of_rank(4, rank)
+
+    def test_rank_extremes(self):
+        assert [t.sizes for t in kernel_types_of_rank(4, 1)] == [(4,)]
+        assert [t.sizes for t in kernel_types_of_rank(4, 4)] == [(1, 1, 1, 1)]

@@ -54,12 +54,7 @@ class TestCollapsiblePairs:
 
     def test_grid_non_collapsible_are_skew(self):
         auto = PairCollapseAutomaton(grid_group(3), GRID_PROJECTION)
-        collapsed = {
-            (v, w)
-            for v in range(9)
-            for w in range(v + 1, 9)
-            if auto.is_collapsible(v, w)
-        }
+        collapsed = {divmod(key, 9) for key in auto.collapsible}
         aligned = {
             (v, w)
             for v, w in itertools.combinations(range(9), 2)
@@ -392,8 +387,6 @@ class TestOrbitSolver:
                 f = Transformation(tuple(rng.randrange(n) for _ in range(n)))
                 flat = synchronizes(group, f)
                 assert solver.synchronizes_images(f.images) == flat.synchronizes
-                fast_graph = solver.obstruction_graph_images(f.images)
-                assert fast_graph == flat.obstruction
 
     def test_grid_projection(self):
         solver = OrbitCollapseSolver(grid_group(3))
@@ -414,20 +407,31 @@ def _batch_rows(entry, count):
 
 
 class TestBatchSolver:
-    """The numpy batch form against the per-map orbit solver, up to degree 64."""
+    """The orbit masks against the flat automaton, up to degree 64."""
 
-    def test_masks_and_verdicts_match_per_map(self):
+    def test_masks_and_verdicts_match_flat_automaton(self):
         outcomes = {}
         for entry in build_catalog(64):
             solver = OrbitCollapseSolver(entry.group)
+            n = entry.degree
+            orbit_keys = [[v * n + w for v, w in cell] for cell in entry.group.pair_orbits()]
             # past one block where blocks are short (degree 47 and up)
             rows = _batch_rows(entry, min(solver.block_rows + 3, 64))
             masks = solver.collapsing_orbit_masks(rows)
             verdicts = solver.synchronizes_images(rows)
             assert masks.dtype == np.uint64 and verdicts.dtype == bool
             for row, mask, verdict in zip(rows.tolist(), masks.tolist(), verdicts.tolist()):
-                assert mask == solver.collapsing_orbit_mask(row), (entry.name, row)
-                assert verdict == solver.synchronizes_images(tuple(row)), (entry.name, row)
+                f = Transformation(tuple(row))
+                collapsible = PairCollapseAutomaton(entry.group, f).collapsible
+                expected = 0
+                for o, keys in enumerate(orbit_keys):
+                    inside = collapsible.intersection(keys)
+                    # the collapsible set is G-invariant: whole orbits or none
+                    assert len(inside) in (0, len(keys)), (entry.name, row, o)
+                    expected |= bool(inside) << o
+                assert mask == expected, (entry.name, row)
+                assert verdict == (len(collapsible) == n * (n - 1) // 2)
+                assert solver.synchronizes_images(tuple(row)) is verdict, (entry.name, row)
                 outcomes.setdefault(entry.degree, set()).add(verdict)
         assert sorted(outcomes) == list(range(3, 65))
         assert all(seen == {True, False} for seen in outcomes.values())
@@ -438,11 +442,8 @@ class TestBatchSolver:
 
     def test_too_many_pair_orbits(self):
         # every one of the 66 pairs is its own orbit under the trivial group
-        solver = OrbitCollapseSolver(trivial_group(12))
-        assert solver.orbit_count == 66
-        assert solver.synchronizes_images(tuple([0] * 12))
-        with pytest.raises(ValueError, match="at most 63 pair orbits"):
-            solver.synchronizes_images(np.zeros((1, 12), dtype=np.int8))
+        with pytest.raises(ValueError, match="at most 63 pair orbits; the group has 66"):
+            OrbitCollapseSolver(trivial_group(12))
 
 
 def _small_instance():

@@ -57,6 +57,7 @@ def test_every_traced_name_is_reached_and_restored():
             assert owner.__dict__[attr] is not original, attr
         assert verify_theorem("rystsov", max_degree=6).passed
         assert verify_theorem("rankpres-32", max_degree=6).passed
+        assert verify_theorem("idempotent-32", max_degree=6).passed
         _, group = lib.groups.parse_group_text("degree 4\n(1 2 3 4)\n")
         # (1 2 3 4) keeps the block system {1,3},{2,4}: min rank 2
         assert lib.sync.min_rank_via_graph(group, Transformation((0, 1, 0, 1))) == 2
