@@ -9,14 +9,13 @@ catalog experiments turn the supporting theory into machine-checked runs.
 
 from .catalog import CatalogEntry, build_catalog, find_entry
 from .experiments import Budget, ExperimentReport, verify_theorem
-from .graphs import Graph, complete_multipartite, intersection_embedding, witness_map_for_block
+from .graphs import Graph, complete_multipartite, witness_map_for_block
 from .groups import BlockSystem, GroupTooLargeError, PermutationGroup, load_group_file
 from .semigroups import (
     SemigroupClosure,
     TruncatedClosureError,
     closure,
     coblock_graph,
-    depth,
     find_rank_preserving_g,
     group_and_map_closure,
     idempotent_same_kernel,
@@ -32,7 +31,6 @@ from .sync import (
     min_rank_via_graph,
     obstruction_graph,
     synchronizes,
-    synchronizing_word,
 )
 from .transformations import (
     KernelType,

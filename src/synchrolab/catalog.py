@@ -387,13 +387,9 @@ def verify_entry(entry: CatalogEntry) -> None:
         )
 
 
-def catalog_by_name(max_degree: int = 12) -> dict[str, CatalogEntry]:
-    return {e.name: e for e in build_catalog(max_degree)}
-
-
-def find_entry(name: str, max_degree: int = 64) -> CatalogEntry:
+def find_entry(name: str) -> CatalogEntry:
     """The entry of that name, building the catalog only up to its degree."""
-    for n in range(3, max_degree + 1):
+    for n in range(3, 65):
         for entry in _entries_of_degree(n):
             if entry.name == name:
                 return entry

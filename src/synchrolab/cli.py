@@ -232,12 +232,14 @@ def cmd_depth(args) -> int:
 def cmd_scan(args) -> int:
     if args.rank is not None and args.rank < 1:
         _usage_error(f"--rank {args.rank}: a rank is at least 1")
-    entries = build_catalog(_max_degree(args.max_degree))
+    max_degree = _max_degree(args.max_degree)
+    entries = build_catalog(max_degree)
     if args.degree:
         entries = [e for e in entries if e.degree == args.degree]
     wanted_type = None
     if args.kernel_type:
         wanted_type = _parse_arg("--kernel-type", args.kernel_type, KernelType.parse)
+    selected = []
     for entry in entries:
         n = entry.degree
         if wanted_type is not None:
@@ -250,6 +252,13 @@ def cmd_scan(args) -> int:
             types = kernel_types_of_rank(n, args.rank)
         else:
             types = kernel_types_of_rank(n, n - 1)
+        selected.append((entry, types))
+    if not selected:
+        _usage_error(
+            f"no catalog group of degree <= {max_degree} fits these filters; "
+            "--rank must be below the degree and --kernel-type must sum to it"
+        )
+    for entry, types in selected:
         for kt in types:
             for inst in instances_of_type(entry.group, kt):
                 f = inst.transformation()

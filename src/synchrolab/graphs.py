@@ -185,13 +185,6 @@ class Graph:
                 return False
         return True
 
-    def is_automorphism(self, p: Transformation) -> bool:
-        if p.degree != self.n:
-            raise ValueError("degree mismatch")
-        if not p.is_permutation():
-            return False
-        return self.is_endomorphism(p) and self.is_endomorphism(p.inverse())
-
     def induced(self, vertices: Sequence[int]) -> "Graph":
         """Induced subgraph; vertex i of the result is vertices[i]."""
         verts = list(vertices)
@@ -222,17 +215,6 @@ class Graph:
             )
             + "\n"
         )
-
-    @staticmethod
-    def from_adjacency_text(text: str) -> "Graph":
-        rows_txt = [line.strip() for line in text.splitlines() if line.strip()]
-        n = len(rows_txt)
-        rows = []
-        for line in rows_txt:
-            if len(line) != n or set(line) - {"0", "1"}:
-                raise ValueError("adjacency text must be an n x n 0/1 matrix")
-            rows.append(sum(1 << w for w, c in enumerate(line) if c == "1"))
-        return Graph(n, tuple(rows))
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -380,26 +362,3 @@ def witness_map_for_block(blocks: Partition, a_set, a: int) -> Transformation:
         images[x] = a
     return Transformation(tuple(images))
 
-
-def intersection_embedding(g: Graph) -> tuple[int, int, list[frozenset[int]]]:
-    """Represent the graph as an intersection graph of uniform k-sets.
-
-    Each vertex starts with its incident-edge set; fresh ground points pad
-    every set to the common size k, and the ground set is padded so that
-    m > 2k. Adjacency is then exactly non-disjointness.
-    """
-    edge_ids: dict[tuple[int, int], int] = {}
-    for e in sorted(g.edges()):
-        edge_ids[e] = len(edge_ids)
-    sets: list[set[int]] = [set() for _ in range(g.n)]
-    for (v, w), i in edge_ids.items():
-        sets[v].add(i)
-        sets[w].add(i)
-    k = max(1, max((len(s) for s in sets), default=0))
-    fresh = len(edge_ids)
-    for s in sets:
-        while len(s) < k:
-            s.add(fresh)
-            fresh += 1
-    m = max(fresh, 2 * k + 1)
-    return m, k, [frozenset(s) for s in sets]

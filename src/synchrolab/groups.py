@@ -442,26 +442,6 @@ class PermutationGroup:
         """Orbit of a point set under the group, in BFS discovery order."""
         return [s for s, _ in self.orbit(frozenset(points), act_on_set)]
 
-    def contains_transposition(self, cap: int = 1_000_000) -> bool:
-        """Whether some element is a transposition; scans all elements."""
-        return self._contains_cycle_type(cap, transpositions=True)
-
-    def contains_double_transposition(self, cap: int = 1_000_000) -> bool:
-        """Whether some element is a product of two disjoint 2-cycles."""
-        return self._contains_cycle_type(cap, transpositions=False)
-
-    def _contains_cycle_type(self, cap: int, transpositions: bool) -> bool:
-        if self.order() > cap:
-            raise GroupTooLargeError(
-                f"group order {self.order()} exceeds cap {cap}"
-            )
-        want_moved = 2 if transpositions else 4
-        for g in self._chain.iter_stabilizer_elements(0):
-            moved = [x for x in range(self.degree) if g[x] != x]
-            if len(moved) == want_moved and all(g[g[x]] == x for x in moved):
-                return True
-        return False
-
 
 @dataclass(frozen=True)
 class BlockSystem:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .graphs import Graph
 from .groups import GroupTooLargeError, PermutationGroup, act_on_set
-from .sweeps import partitions_of_type
+from .sweeps import kernel_types_of_rank, partitions_of_type
 from .sync import InconsistencyError, _pair_tables
 from .transformations import KernelType, Partition, Transformation, compose
 
@@ -309,10 +309,6 @@ def min_rank(c: SemigroupClosure) -> int:
     return c.min_rank
 
 
-def contains_constant(c: SemigroupClosure) -> bool:
-    return c.contains_constant()
-
-
 def _is_transversal(points, block_index) -> bool:
     """Whether the points lie in pairwise distinct blocks."""
     hit = set()
@@ -440,28 +436,6 @@ MAX_EXHAUSTIVE_DEGREE = 12
 MAX_NONUNIFORM_DEGREE = 10
 
 
-def _all_partitions(n: int, parts: int):
-    """All partitions of range(n) into exactly ``parts`` blocks."""
-
-    def rec(x: int, blocks: list[list[int]]):
-        if x == n:
-            if len(blocks) == parts:
-                yield Partition(n, tuple(tuple(b) for b in blocks))
-            return
-        if len(blocks) + (n - x) < parts:
-            return
-        for b in blocks:
-            b.append(x)
-            yield from rec(x + 1, blocks)
-            b.pop()
-        if len(blocks) < parts:
-            blocks.append([x])
-            yield from rec(x + 1, blocks)
-            blocks.pop()
-
-    yield from rec(0, [])
-
-
 def regular_partition_witnesses(
     group: PermutationGroup, allow_nonuniform: bool = False
 ) -> list[SectionWitness]:
@@ -484,12 +458,13 @@ def regular_partition_witnesses(
     witnesses: list[SectionWitness] = []
     for s in range(2, n):
         if allow_nonuniform:
-            candidates = _all_partitions(n, s)
+            types = kernel_types_of_rank(n, s)
         elif n % s == 0:
-            candidates = partitions_of_type(KernelType((n // s,) * s))
+            types = [KernelType((n // s,) * s)]
         else:
             continue
         found = None
+        candidates = (p for kt in types for p in partitions_of_type(kt))
         for partition in candidates:
             delta = coblock_graph(group, partition)
             section = delta.independent_set_of_size(s)
@@ -510,14 +485,3 @@ def regular_partition_sizes(
     group: PermutationGroup, allow_nonuniform: bool = False
 ) -> list[int]:
     return [w.size for w in regular_partition_witnesses(group, allow_nonuniform)]
-
-
-def depth(group: PermutationGroup, allow_nonuniform: bool = False) -> int | None:
-    """Gap between the two smallest stable-section partition sizes.
-
-    None encodes infinity: fewer than two such sizes exist.
-    """
-    sizes = regular_partition_sizes(group, allow_nonuniform)
-    if len(sizes) < 2:
-        return None
-    return sizes[1] - sizes[0]

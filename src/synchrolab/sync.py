@@ -38,7 +38,7 @@ class InconsistencyError(Exception):
 
 
 class NotSynchronizingError(Exception):
-    """Raised when a synchronizing word is requested for a non-instance."""
+    """Raised when a collapse word is requested for a pair that never collapses."""
 
 
 def _letters(group: PermutationGroup, f: Transformation):
@@ -118,14 +118,12 @@ class PairCollapseAutomaton:
             remaining -= found
             level += 1
         # the letter kept for each pair is the lowest one into the level
-        # before its own; pairs that never collapse match no letter
+        # before its own (argmax takes the first True); pairs that never
+        # collapse match no letter and get letter 0
         into_previous = depth[rows] == pair_depth - 1
-        letter = np.zeros(count, dtype=np.int16)
-        for li in range(len(rows) - 1, -1, -1):
-            np.copyto(letter, li, where=into_previous[li])
         # one byte per pair index, 1 when the pair collapses
         self._collapses = pair_visited.tobytes()
-        self._letter = letter
+        self._letter = into_previous.argmax(axis=0)
         self._rows = rows
 
     def _index(self, v: int, w: int) -> int:
@@ -286,15 +284,6 @@ def _certify_min_rank(graph: Graph, image: list[int], composed: Transformation):
     for x, y in enumerate(composed.images):
         if rows[x] & colour_classes[y]:
             raise InconsistencyError("greedy word sends an obstruction edge to one point")
-
-
-def synchronizing_word(group: PermutationGroup, f: Transformation) -> tuple[str, ...]:
-    """A word over {g1, ..., gk, f} composing to a constant map."""
-    verdict = synchronizes(group, f)
-    if not verdict.synchronizes:
-        raise NotSynchronizingError("the group does not synchronize this map")
-    assert verdict.witness_word is not None
-    return verdict.witness_word
 
 
 def word_transformation(

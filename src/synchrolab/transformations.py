@@ -145,15 +145,6 @@ def compose_all(maps: Iterable[Transformation]) -> Transformation:
     return result
 
 
-def power(f: Transformation, k: int) -> Transformation:
-    if k < 1:
-        raise ValueError("power must be >= 1")
-    result = f
-    for _ in range(k - 1):
-        result = compose(result, f)
-    return result
-
-
 def idempotent_power(f: Transformation) -> Transformation:
     """The unique idempotent among the powers of ``f``.
 

@@ -2,8 +2,8 @@
 
 Run with ``pytest -s tests/test_acceptance.py`` to see the per-criterion
 lines as they complete; the whole module is single-threaded and takes
-roughly ten to fifteen minutes, dominated by the degree-12 sweep of
-criterion 3.
+about a minute on a 2-CPU host, most of it in criterion 1 (about 30 s)
+and criterion 3 (about 16 s).
 """
 import itertools
 import os
@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import pytest
 
-from synchrolab.catalog import build_catalog, catalog_by_name
+from synchrolab.catalog import build_catalog, find_entry
 from synchrolab.experiments import (
     Budget,
     check_rank_preserving_pairs,
@@ -137,7 +137,7 @@ def test_criterion_1_oracle_equivalence(oracle_sweep):
 
 
 def test_criterion_2_grid_counterexample():
-    entry = catalog_by_name(9)["grid-3"]
+    entry = find_entry("grid-3")
     group = entry.group
     assert group.order() == 72 and group.is_primitive()
     f = grid_projection(3)
@@ -251,13 +251,13 @@ def test_criterion_5_synchronizing_words(oracle_sweep):
 
 def test_criterion_6_structural_identities(oracle_sweep, theorem_reports):
     instances = list(oracle_sweep.nonsync_instances)
-    table = catalog_by_name(12)
+    table = {e.name: e for e in build_catalog(12)}
     for report in theorem_reports.values():
         for record in report.witnesses:
             entry = table[record.group]
             f = parse_transformation(record.map_text, degree=entry.degree)
             instances.append((entry, f))
-    grid = catalog_by_name(9)["grid-3"]
+    grid = find_entry("grid-3")
     instances.append((grid, grid_projection(3)))
     violations = []
     for entry, f in instances:
@@ -282,14 +282,14 @@ def test_criterion_6_structural_identities(oracle_sweep, theorem_reports):
 
 def test_criterion_7_depth():
     started = time.monotonic()
-    table = catalog_by_name(9)
-    grid_witnesses = regular_partition_witnesses(table["grid-3"].group)
+    grid = find_entry("grid-3").group
+    grid_witnesses = regular_partition_witnesses(grid)
     sizes = [w.size for w in grid_witnesses]
     ok_grid = 3 in sizes
     for w in grid_witnesses:
-        assert is_group_section(table["grid-3"].group, w.section, w.partition)
-    c5 = regular_partition_witnesses(table["C5"].group)
-    s5 = regular_partition_witnesses(table["S5"].group)
+        assert is_group_section(grid, w.section, w.partition)
+    c5 = regular_partition_witnesses(find_entry("C5").group)
+    s5 = regular_partition_witnesses(find_entry("S5").group)
     # full exhaustive pass over every transitive catalog group of degree <= 9
     swept = 0
     for entry in build_catalog(9):

@@ -5,7 +5,6 @@ import pytest
 from synchrolab.catalog import (
     GaloisField,
     build_catalog,
-    catalog_by_name,
     find_entry,
     grid_group,
     projective_linear_group,
@@ -76,13 +75,13 @@ class TestCatalog:
             assert wanted in names
 
     def test_grid3_entry(self):
-        entry = catalog_by_name(9)["grid-3"]
+        entry = find_entry("grid-3")
         assert entry.degree == 9
         assert entry.expected.order == 72
         assert entry.expected.primitive
 
     def test_c6_imprimitive_blocks(self):
-        entry = catalog_by_name(6)["C6"]
+        entry = find_entry("C6")
         sizes = sorted(s.block_size for s in entry.group.block_systems())
         assert sizes == [2, 3]
 

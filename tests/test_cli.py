@@ -360,6 +360,15 @@ class TestBadInput:
         assert message == f"error: --rank {rank}: a rank is at least 1\n"
 
     @pytest.mark.parametrize(
+        "flags",
+        [["--rank", "5"], ["--rank", "9"], ["--degree", "7"], ["--kernel-type", "3,3,1"]],
+    )
+    def test_scan_selecting_nothing(self, capsys, flags):
+        message = run_rejected(capsys, "scan", "--max-degree", "5", *flags)
+        assert message.startswith("error: no catalog group of degree <= 5 fits these filters")
+        assert message.count("\n") == 1
+
+    @pytest.mark.parametrize(
         "argv",
         [
             [],

@@ -282,15 +282,16 @@ class TestBlockSystems:
         )
 
 
+def has_involution_moving(g, moved):
+    """Whether some element is a product of moved/2 disjoint transpositions."""
+    for e in g.elements():
+        support = [x for x in range(g.degree) if e.images[x] != x]
+        if len(support) == moved and all(e.images[e.images[x]] == x for x in support):
+            return True
+    return False
+
+
 class TestTranspositionScans:
-    def test_symmetric_has_transposition(self):
-        assert symmetric_group(5).contains_transposition()
-
-    def test_alternating_has_double_but_not_single(self):
-        g = alternating_group(6)
-        assert not g.contains_transposition()
-        assert g.contains_double_transposition()
-
     def test_primitive_with_transposition_is_symmetric(self):
         # scan the small catalog groups: the implication must hold
         import math
@@ -303,7 +304,7 @@ class TestTranspositionScans:
             grid_group(3),
             projective_linear_group(5),
         ]:
-            if g.is_primitive() and g.contains_transposition():
+            if g.is_primitive() and has_involution_moving(g, 2):
                 assert g.order() == math.factorial(g.degree)
 
     def test_double_transposition_implication(self):
@@ -317,7 +318,7 @@ class TestTranspositionScans:
             if (
                 g.degree > 5
                 and g.is_primitive()
-                and g.contains_double_transposition()
+                and has_involution_moving(g, 4)
             ):
                 assert g.is_2_transitive()
 

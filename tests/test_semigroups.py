@@ -21,8 +21,6 @@ from synchrolab.semigroups import (
     TruncatedClosureError,
     closure,
     coblock_graph,
-    contains_constant,
-    depth,
     find_rank_preserving_g,
     group_and_map_closure,
     idempotent_same_kernel,
@@ -460,7 +458,6 @@ class TestRegularPartitions:
 
     def test_c5_empty(self):
         assert regular_partition_sizes(cyclic_group(5)) == []
-        assert depth(cyclic_group(5)) is None
 
     def test_s5_s6_empty(self):
         assert regular_partition_sizes(symmetric_group(5)) == []
@@ -468,7 +465,6 @@ class TestRegularPartitions:
 
     def test_c6_depth(self):
         assert regular_partition_sizes(cyclic_group(6)) == [2, 3]
-        assert depth(cyclic_group(6)) == 1
 
     def test_exhaustive_cross_check_small(self):
         # independent oracle at degree 6: try every uniform partition and
@@ -502,6 +498,32 @@ class TestRegularPartitions:
         uniform = set(regular_partition_sizes(cyclic_group(6)))
         both = set(regular_partition_sizes(cyclic_group(6), allow_nonuniform=True))
         assert uniform <= both
+
+    # (size, partition blocks, section) of every nonuniform-search witness;
+    # the transitive catalog groups of degree <= 8 not listed have none
+    NONUNIFORM_WITNESSES = {
+        "C4": [(2, ((0, 1), (2, 3)), (0, 2))],
+        "grid-2": [(2, ((0, 1), (2, 3)), (0, 3))],
+        "C6": [
+            (2, ((0, 1, 2), (3, 4, 5)), (0, 3)),
+            (3, ((0, 1), (2, 3), (4, 5)), (0, 2, 4)),
+        ],
+        "C8": [
+            (2, ((0, 1, 2, 3), (4, 5, 6, 7)), (0, 4)),
+            (4, ((0, 1), (2, 3), (4, 5), (6, 7)), (0, 2, 4, 6)),
+        ],
+    }
+
+    def test_nonuniform_witnesses_pinned(self):
+        swept = 0
+        for entry in build_catalog(8):
+            if not entry.group.is_transitive():
+                continue
+            witnesses = regular_partition_witnesses(entry.group, allow_nonuniform=True)
+            got = [(w.size, w.partition.blocks, w.section) for w in witnesses]
+            assert got == self.NONUNIFORM_WITNESSES.get(entry.name, []), entry.name
+            swept += 1
+        assert swept == 25
 
 
 def _set_partitions_uniform(n, parts, size):
