@@ -75,7 +75,10 @@ def _load_group(spec: str) -> tuple[str, PermutationGroup]:
     """A group file path, or a catalog entry name such as S5 or grid-3."""
     path = Path(spec)
     if path.exists():
-        name, group = load_group_file(path)
+        try:
+            name, group = load_group_file(path)
+        except (OSError, ValueError) as exc:
+            _usage_error(f"--group {spec!r}: {exc}")
         return name or path.stem, group
     try:
         return spec, find_entry(spec).group
@@ -205,6 +208,10 @@ def cmd_gr(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if not args.budget_seconds >= 0:  # also false for nan
+        _usage_error(f"--budget-seconds {args.budget_seconds}: a budget is at least 0 seconds")
+    if args.max_instances is not None and args.max_instances < 0:
+        _usage_error(f"--max-instances {args.max_instances}: a budget is at least 0 instances")
     budget = Budget(seconds=args.budget_seconds, max_instances=args.max_instances)
     report = verify_theorem(
         args.id, max_degree=_max_degree(args.max_degree), budget=budget,
@@ -216,7 +223,10 @@ def cmd_verify(args) -> int:
 
 def cmd_depth(args) -> int:
     name, group = _load_group(args.group)
-    witnesses = regular_partition_witnesses(group, allow_nonuniform=args.allow_nonuniform)
+    try:
+        witnesses = regular_partition_witnesses(group, allow_nonuniform=args.allow_nonuniform)
+    except ValueError as exc:  # an intransitive group, or a degree the search refuses
+        _usage_error(f"--group {args.group!r}: {exc}")
     if not witnesses:
         print(f"{name}: no nontrivial stable-section partition sizes; depth = inf")
         return 0

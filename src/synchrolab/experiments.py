@@ -8,15 +8,14 @@ claim held. A run produces an ExperimentReport whose status is:
 - inconclusive  the time or instance budget ran out first;
 - pass          the sweep completed with zero counterexamples.
 
-Every sweep decides its maps in blocks with the numpy orbit solver, which
-keeps about sync.BLOCK_PAIR_CELLS (row, point pair) cells of uint64 masks
-in memory per block. The sweeps over every map of a kernel type run
-through _Sweeper.unsynchronized, a block of assignment rows at a time,
-besides the type's int8 assignment array; idempotent-32 and rankpres-32,
-which cover some maps of a type only, run through
-_Sweeper.expect_covered_synchronized, one block per catalog group. Both
-tick the budget once per instance, as if the instances ran one by one,
-and report the instances the solver does not synchronize in sweep order.
+Every sweep decides its maps through _Sweeper.unsynchronized: one kernel
+representative and its int8 assignment rows, in blocks of rows with the
+numpy orbit solver, which keeps about sync.BLOCK_PAIR_CELLS (row, point
+pair) cells of uint64 masks in memory per block. It ticks the budget once
+per map, as if the maps ran one by one, and yields the maps the solver
+does not synchronize in sweep order. rankpres-32 decides only the maps a
+bool mask covers, found with one rank-preserving search per kernel and
+image set; idempotent-32 groups its idempotents by kernel into rows.
 The sweeps over (k,1,...,1) maps share one body:
 `imprimitivity-char` takes every k from 2 to n-1, and `rystsov` (primitive
 iff every rank n-1 map synchronizes) is its k = 2 case.
@@ -30,10 +29,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
+from itertools import groupby, permutations
 
 import numpy as np
 
 from .catalog import CatalogEntry, build_catalog, verify_entry
+from .groups import PermutationGroup
 from .graphs import complete_multipartite, witness_map_for_block
 from .semigroups import (
     DEFAULT_CLOSURE_CAP,
@@ -44,18 +45,14 @@ from .semigroups import (
     idempotent_same_kernel,
 )
 from .sweeps import (
-    SweepInstance,
     idempotent_instances_of_type,
     instances_of_type,
     kernel_types_of_rank,
+    map_from_assignment,
     representatives_of_type,
 )
 from .sync import OrbitCollapseSolver, synchronizes
-from .transformations import (
-    KernelType,
-    Transformation,
-    format_transformation,
-)
+from .transformations import KernelType, Partition, Transformation, format_transformation
 
 WITNESS_ORACLE_CAP = 300_000
 
@@ -175,61 +172,46 @@ class _Sweeper:
             note=note,
         )
 
-    def unsynchronized(self, entry: CatalogEntry, kt: KernelType):
-        """Every map of the kernel type, one tick each; yield the unsynchronized ones.
+    def unsynchronized(self, entry: CatalogEntry, kernel: Partition, assignments, covered=None):
+        """Tick every map of a kernel and its int8 assignment rows; yield the unsynchronized.
 
-        Instances run kernel representative by representative, each over
-        the assignment rows in blocks of solver.block_rows. A yielded
-        instance has been counted with all those before it and none after,
-        and a block that the instance budget cuts short is decided only up
-        to the cut, so instances_tested comes out as with one tick per map.
+        Only the rows the bool mask covered marks are decided (every row
+        when covered is None), a block of solver.block_rows rows at a time.
+        A yielded map has been counted with all those before it and none
+        after, and a block that the instance budget cuts short is decided
+        only up to the cut, so instances_tested comes out as with one tick
+        per map.
         """
         solver = self.solver(entry)
-        kernels, assignments = representatives_of_type(entry.group, kt)
         report = self.report
+        columns = np.array(kernel.block_index, dtype=np.intp)
+        for lo in range(0, len(assignments), solver.block_rows):
+            rows = assignments[lo : lo + solver.block_rows]
+            fits = self.admit(len(rows))
+            images = rows[:fits, columns]
+            if covered is None:
+                failing = np.flatnonzero(~solver.synchronizes_images(images))
+            else:
+                picked = np.flatnonzero(covered[lo : lo + fits])
+                failing = picked[~solver.synchronizes_images(images[picked])]
+            base = report.instances_tested
+            for i in failing.tolist():
+                report.instances_tested = base + i + 1
+                yield Transformation(tuple(images[i].tolist()))
+            report.instances_tested = base + fits
+            if fits < len(rows):
+                self.tick()  # one past the instance budget: raises
+
+    def unsynchronized_of_type(self, entry: CatalogEntry, kt: KernelType):
+        """The unsynchronized maps of a kernel type, one kernel representative at a time."""
+        kernels, assignments = representatives_of_type(entry.group, kt)
         for kernel in kernels:
-            columns = np.array(kernel.block_index, dtype=np.intp)
-            for lo in range(0, len(assignments), solver.block_rows):
-                rows = assignments[lo : lo + solver.block_rows]
-                fits = self.admit(len(rows))
-                images = rows[:fits, columns]
-                base = report.instances_tested
-                for i in np.flatnonzero(~solver.synchronizes_images(images)).tolist():
-                    report.instances_tested = base + i + 1
-                    yield SweepInstance(
-                        kernel, tuple(rows[i].tolist()), tuple(images[i].tolist())
-                    )
-                report.instances_tested = base + fits
-                if fits < len(rows):
-                    self.tick()  # one past the instance budget: raises
+            yield from self.unsynchronized(entry, kernel, assignments)
 
-    def expect_synchronized(self, entry: CatalogEntry, kt: KernelType) -> None:
-        """Sweep a kernel type whose maps the claim says must synchronize."""
-        for inst in self.unsynchronized(entry, kt):
-            self.report.counterexamples.append(
-                self.confirm_not_synchronizing(entry, inst.transformation())
-            )
-
-    def expect_covered_synchronized(self, entry: CatalogEntry, maps) -> None:
-        """Tick once per map; those the claim covers must synchronize.
-
-        maps yields an image tuple for each map the claim covers and None
-        for the others. The covered maps are decided in one block call
-        once maps runs out, or the budget does, so counterexamples come in
-        sweep order and instances_tested as with one decision per map.
-        """
-        covered = bytearray()  # one byte per point
-        try:
-            for images in maps:
-                self.tick()
-                if images is not None:
-                    covered.extend(images)
-        finally:
-            rows = np.frombuffer(covered, dtype=np.int8).reshape(-1, entry.degree)
-            for i in np.flatnonzero(~self.solver(entry).synchronizes_images(rows)).tolist():
-                self.report.counterexamples.append(
-                    self.confirm_not_synchronizing(entry, Transformation(tuple(rows[i].tolist())))
-                )
+    def expect_synchronized(self, entry: CatalogEntry, failing) -> None:
+        """Record each map of failing, which the claim says must synchronize."""
+        for f in failing:
+            self.report.counterexamples.append(self.confirm_not_synchronizing(entry, f))
 
     def expect_witness_failure(
         self, entry: CatalogEntry, f: Transformation, context: str
@@ -293,7 +275,8 @@ def _sweep_block_collapse(sw: _Sweeper, max_degree: int, k_range, label: str):
             if k <= bmax:
                 sw.expect_witness_failure(entry, _block_witness(entry, k), label.format(k=k))
             else:
-                sw.expect_synchronized(entry, KernelType(tuple([k] + [1] * (n - k))))
+                kt = KernelType(tuple([k] + [1] * (n - k)))
+                sw.expect_synchronized(entry, sw.unsynchronized_of_type(entry, kt))
 
 
 def _sweep_rystsov(sw: _Sweeper, max_degree: int):
@@ -316,7 +299,7 @@ def _expect_types_synchronized(
     """Every primitive entry synchronizes every map of kernel_types(n)."""
     for entry in _primitive_entries(max_degree, min_degree):
         for kt in kernel_types(entry.degree):
-            sw.expect_synchronized(entry, kt)
+            sw.expect_synchronized(entry, sw.unsynchronized_of_type(entry, kt))
 
 
 def _sweep_rank_n2(sw: _Sweeper, max_degree: int):
@@ -351,26 +334,43 @@ def _type_32(n: int) -> KernelType:
 def _sweep_idempotent_32(sw: _Sweeper, max_degree: int):
     """Primitive groups synchronize every idempotent of type (3,2,1,...,1)."""
     for entry in _primitive_entries(max_degree, min_degree=5):
-        sw.expect_covered_synchronized(entry, _idempotent_images(entry))
+        instances = idempotent_instances_of_type(entry.group, _type_32(entry.degree))
+        for kernel, same in groupby(instances, key=lambda inst: inst.kernel):
+            same = list(same)
+            if not all(inst.transformation().is_idempotent() for inst in same):
+                raise AssertionError("idempotent enumeration produced a non-idempotent")
+            rows = np.array([inst.assignment for inst in same], dtype=np.int8)
+            sw.expect_synchronized(entry, sw.unsynchronized(entry, kernel, rows))
 
 
-def _idempotent_images(entry: CatalogEntry):
-    for inst in idempotent_instances_of_type(entry.group, _type_32(entry.degree)):
-        if not inst.transformation().is_idempotent():
-            raise AssertionError("idempotent enumeration produced a non-idempotent")
-        yield inst.images
+def _rank_preserving_mask(
+    group: PermutationGroup, kernels: list[Partition], assignments: np.ndarray
+) -> np.ndarray:
+    """mask[k, i]: some g in the group has rank(f g f) = rank(f), for f the map
+    of kernels[k] and assignments[i]. Such a g carries the image set of f onto
+    a transversal of its kernel, so one find_rank_preserving_g call per kernel
+    and image set answers every row with that image set.
+    """
+    image_sets = np.bitwise_or.reduce(np.left_shift(1, assignments.astype(np.int64)), axis=1)
+    _, first, inverse = np.unique(image_sets, return_index=True, return_inverse=True)
+    found = np.array([
+        [
+            find_rank_preserving_g(group, Transformation(map_from_assignment(kernel, row)))
+            is not None
+            for row in assignments[first].tolist()
+        ]
+        for kernel in kernels
+    ], dtype=bool)
+    return found[:, inverse]
 
 
 def _sweep_rankpres_32(sw: _Sweeper, max_degree: int):
     """Type (3,2,1,...,1) maps with a rank-preserving group element synchronize."""
     for entry in _primitive_entries(max_degree, min_degree=5):
-        group = entry.group
-        sw.expect_covered_synchronized(entry, (
-            inst.images
-            if find_rank_preserving_g(group, inst.transformation()) is not None
-            else None
-            for inst in instances_of_type(group, _type_32(entry.degree))
-        ))
+        kernels, assignments = representatives_of_type(entry.group, _type_32(entry.degree))
+        covered = _rank_preserving_mask(entry.group, kernels, assignments)
+        for kernel, mask in zip(kernels, covered):
+            sw.expect_synchronized(entry, sw.unsynchronized(entry, kernel, assignments, mask))
 
 
 def grid_projection(m: int = 3) -> Transformation:
@@ -445,8 +445,7 @@ def _nonsync_closure_instances(sw: _Sweeper, max_degree: int):
                     kt for kt in kernel_types_of_rank(n, rank) if not kt.is_uniform()
                 )
         for kt in types:
-            for inst in sw.unsynchronized(entry, kt):
-                f = inst.transformation()
+            for f in sw.unsynchronized_of_type(entry, kt):
                 try:
                     c = group_and_map_closure(entry.group, f, cap=sw.cap)
                     c.min_rank  # force completeness check
@@ -512,10 +511,7 @@ def _sweep_split_one_part(sw: _Sweeper, max_degree: int):
 
 def _has_p4_or_c4(graph, vertices) -> bool:
     """Does the induced subgraph contain a 4-vertex path or 4-cycle?"""
-    from itertools import permutations as _perms
-
-    verts = list(vertices)
-    for quad in _perms(verts, 4):
+    for quad in permutations(vertices, 4):
         a, b, c, d = quad
         if graph.is_edge(a, b) and graph.is_edge(b, c) and graph.is_edge(c, d):
             return True
@@ -542,9 +538,8 @@ def _sweep_lemma41_diagnostic(sw: _Sweeper, max_degree: int):
                         KernelType(tuple(sorted([p, q] + [1] * (n - p - q), reverse=True)))
                     )
         for kt in types:
-            for inst in sw.unsynchronized(entry, kt):
+            for f in sw.unsynchronized_of_type(entry, kt):
                 found += 1
-                f = inst.transformation()
                 record = sw.confirm_not_synchronizing(entry, f)
                 graph = synchronizes(entry.group, f).obstruction
                 big = [b for b in f.kernel().blocks if len(b) > 1]

@@ -19,6 +19,10 @@ GRID_FILE = "\n".join(
     ]
 )
 
+ROOT = Path(__file__).resolve().parents[1]
+# for a child process: the package from this checkout's src/
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+
 
 @pytest.fixture
 def grid_file(tmp_path):
@@ -368,6 +372,49 @@ class TestBadInput:
         assert message.startswith("error: no catalog group of degree <= 5 fits these filters")
         assert message.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["check", "word", "gr", "depth", "closure"])
+    @pytest.mark.parametrize(
+        "text,reason",
+        [
+            ("degree 4\n(1 2 5)\n", "cycle point 5 beyond degree 4"),
+            ("degree x\n(1 2)\n", "expected 'degree n', got 'degree x'"),
+            ("(1 2)\n", "group file must start with a 'degree n' line"),
+        ],
+    )
+    def test_bad_group_file(self, capsys, tmp_path, command, text, reason):
+        path = tmp_path / "bad.grp"
+        path.write_text(text)
+        argv = [command, "--group", str(path)]
+        if command != "depth":
+            argv += ["--map", "[1,1,3,4]"]
+        assert run_rejected(capsys, *argv) == f"error: --group {str(path)!r}: {reason}\n"
+
+    def test_depth_beyond_its_search(self, capsys, tmp_path):
+        message = run_rejected(capsys, "depth", "--group", "S13")
+        assert message == "error: --group 'S13': degree 13 beyond the exhaustive regime (limit 12)\n"
+        path = tmp_path / "intransitive.grp"
+        path.write_text("degree 4\n(1 2)\n")
+        message = run_rejected(capsys, "depth", "--group", str(path))
+        assert message == f"error: --group {str(path)!r}: section search requires a transitive group\n"
+
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [
+            ("--max-instances", "-1", "--max-instances -1: a budget is at least 0 instances"),
+            ("--budget-seconds", "-1", "--budget-seconds -1.0: a budget is at least 0 seconds"),
+            ("--budget-seconds", "nan", "--budget-seconds nan: a budget is at least 0 seconds"),
+        ],
+    )
+    def test_negative_or_nan_budget(self, capsys, flag, value, message):
+        err = run_rejected(capsys, "verify", "rystsov", "--max-degree", "4", flag, value)
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("flag", ["--max-instances", "--budget-seconds"])
+    def test_zero_budget_is_inconclusive(self, capsys, flag):
+        code, out, _ = run(capsys, "verify", "rystsov", "--max-degree", "4", flag, "0")
+        assert code == 2
+        assert "inconclusive" in out
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -384,11 +431,9 @@ class TestBadInput:
 
     def test_bad_input_exit_code_from_a_shell(self):
         """The process status, which verify's 0/1/2 never takes, is 64."""
-        src = Path(__file__).resolve().parents[1] / "src"
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
         proc = subprocess.run(
             [sys.executable, "-m", "synchrolab", "check", "--group", "S5", "--map", "[1,1]"],
-            capture_output=True, env=env, timeout=120,
+            capture_output=True, env=ENV, timeout=120,
         )
         assert proc.returncode == 64
         assert proc.stdout == b""
@@ -397,13 +442,11 @@ class TestBadInput:
 
 def test_closed_pipe_ends_quietly():
     """A reader that stops after one line (``| head -1``) gets no traceback."""
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
     # about 500 kB of records, far more than a pipe buffers
     argv = ["scan", "--max-degree", "7", "--degree", "7", "--kernel-type", "3,2,1,1"]
     proc = subprocess.Popen(
         [sys.executable, "-m", "synchrolab", *argv],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=ENV,
     )
     first = proc.stdout.readline()
     proc.stdout.close()
@@ -416,3 +459,23 @@ def test_closed_pipe_ends_quietly():
     assert json.loads(first)["group"]
     assert stderr == b""
     assert code == 141
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify_all.py", "--max-degree", "6", "--rystsov-degree", "6"],
+        ["depth_survey.py", "--max-degree", "6"],
+        ["depth_survey.py", "--max-degree", "6", "--allow-nonuniform"],
+        ["grid_walkthrough.py"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_script_runs(argv):
+    """The scripts under scripts/ still run against the library as it is now."""
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
+        capture_output=True, env=ENV, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout

@@ -1,5 +1,6 @@
 import hashlib
 
+import numpy as np
 import pytest
 
 from synchrolab.catalog import find_entry
@@ -8,14 +9,18 @@ from synchrolab.experiments import (
     Budget,
     ExperimentReport,
     _BudgetExceeded,
+    _primitive_entries,
+    _rank_preserving_mask,
     _Sweeper,
+    _type_32,
     check_rank_preserving_pairs,
     grid_projection,
     harvest_rank_preserving_pairs,
     verify_theorem,
 )
 from synchrolab.reports import report_emit
-from synchrolab.sweeps import instances_of_type
+from synchrolab.semigroups import find_rank_preserving_g
+from synchrolab.sweeps import instances_of_type, map_from_assignment, representatives_of_type
 from synchrolab.sync import synchronizes
 from synchrolab.transformations import KernelType, Transformation, format_transformation
 
@@ -156,50 +161,63 @@ class TestBudgets:
 
 
 class TestCoveredMaps:
-    """expect_covered_synchronized against one decision per map, cut mid-entry."""
+    """_Sweeper.unsynchronized with a covered mask against one decision per map, cut mid-entry."""
 
-    @staticmethod
-    def covered_maps(entry):
+    KT = KernelType((2, 1, 1, 1, 1))
+
+    @classmethod
+    def sweep(cls, entry):
         # rank n-1 maps of an imprimitive group, some of which fail; every
-        # third one is left out of the claim
-        kt = KernelType((2,) + (1,) * (entry.degree - 2))
-        return [
-            None if i % 3 == 2 else inst.images
-            for i, inst in enumerate(instances_of_type(entry.group, kt))
-        ]
+        # third one in sweep order is left out of the claim
+        kernels, rows = representatives_of_type(entry.group, cls.KT)
+        covered = np.arange(len(kernels) * len(rows)).reshape(len(kernels), -1) % 3 != 2
+        return kernels, rows, covered
 
-    @staticmethod
-    def per_map(entry, maps, limit):
+    @classmethod
+    def per_map(cls, entry, covered, limit):
         """(instances_tested, failing covered maps) of one tick and decision per map."""
         tested, failing = 0, []
-        for images in maps:
+        for inst, claimed in zip(instances_of_type(entry.group, cls.KT), covered.ravel()):
             tested += 1
             if tested > limit:
                 break
-            if images is None:
+            if not claimed:
                 continue
-            f = Transformation(images)
+            f = inst.transformation()
             if not synchronizes(entry.group, f).synchronizes:
                 failing.append(format_transformation(f))
         return tested, failing
 
     def test_cut_falls_among_the_failures(self):
         entry = find_entry("C6")
-        maps = self.covered_maps(entry)
-        assert len(maps) == 360
-        every = self.per_map(entry, maps, len(maps))[1]
-        assert 0 < len(self.per_map(entry, maps, 200)[1]) < len(every)
+        covered = self.sweep(entry)[2]
+        assert covered.size == 360
+        every = self.per_map(entry, covered, covered.size)[1]
+        assert 0 < len(self.per_map(entry, covered, 200)[1]) < len(every)
 
     @pytest.mark.parametrize("limit", [0, 1, 121, 200, 240, 360, 10_000])
     def test_budget_cut_matches_per_map_loop(self, limit):
+        self.check_against_per_map_loop(limit)
+
+    @pytest.mark.parametrize("limit", [121, 200, 10_000])
+    def test_blocks_inside_a_kernel_match_per_map_loop(self, limit):
+        # 72 rows a kernel in blocks of 7: the mask is sliced at block offsets
+        self.check_against_per_map_loop(limit, block_rows=7)
+
+    def check_against_per_map_loop(self, limit, block_rows=None):
         entry = find_entry("C6")
-        maps = self.covered_maps(entry)
-        tested, failing = self.per_map(entry, maps, limit)
+        kernels, rows, covered = self.sweep(entry)
+        tested, failing = self.per_map(entry, covered, limit)
         report = ExperimentReport("rystsov", 6)
         sweeper = _Sweeper(report, Budget(seconds=600.0, max_instances=limit), cap=10_000)
-        cut = limit < len(maps)
+        if block_rows is not None:
+            sweeper.solver(entry).block_rows = block_rows
+        cut = limit < covered.size
         try:
-            sweeper.expect_covered_synchronized(entry, iter(maps))
+            for kernel, mask in zip(kernels, covered):
+                sweeper.expect_synchronized(
+                    entry, sweeper.unsynchronized(entry, kernel, rows, mask)
+                )
         except _BudgetExceeded:
             assert cut
         else:
@@ -207,6 +225,25 @@ class TestCoveredMaps:
         assert report.instances_tested == tested
         assert [r.map_text for r in report.counterexamples] == failing
         assert all(not r.verdict for r in report.counterexamples)
+
+
+class TestRankPreservingMask:
+    def test_mask_matches_a_search_per_map(self):
+        """The per-(kernel, image set) mask agrees with a search for every rankpres-32 map."""
+        checked = 0
+        for entry in _primitive_entries(9, min_degree=5):
+            group = entry.group
+            kernels, rows = representatives_of_type(group, _type_32(entry.degree))
+            mask = _rank_preserving_mask(group, kernels, rows)
+            assert mask.shape == (len(kernels), len(rows))
+            for kernel, covered in zip(kernels, mask.tolist()):
+                for row, claimed in zip(rows.tolist(), covered):
+                    f = Transformation(map_from_assignment(kernel, row))
+                    assert claimed == (find_rank_preserving_g(group, f) is not None), (
+                        entry.name, format_transformation(f)
+                    )
+                    checked += 1
+        assert checked == 25_404
 
 
 class TestReports:
