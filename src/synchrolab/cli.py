@@ -4,11 +4,12 @@ Subcommands: catalog list|show, check, word, gr, verify, depth, scan,
 closure. The environment variable SYNCHROLAB_CAP overrides the default
 closure cap. verify exits 0 on pass, 1 when a counterexample was found and
 2 when the budget ran out (inconclusive). Bad input, whether a malformed
-argument value, an unknown group or a command line argparse rejects,
-exits 64 (EX_USAGE), a status no verify outcome uses; the first two print
-one ``error: ...`` line. When the reader of the output goes away
-(``| head``), every subcommand stops quietly with exit 141, the status of
-a process ended by SIGPIPE.
+argument value, an unknown group, a kernel type too large to enumerate
+(scan, verify) or a command line argparse rejects, exits 64 (EX_USAGE), a
+status no verify outcome uses; all but the last print one ``error: ...``
+line. When the reader of the output goes away (``| head``), every
+subcommand stops quietly with exit 141, the status of a process ended by
+SIGPIPE.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ from .semigroups import (
     group_and_map_closure,
     regular_partition_witnesses,
 )
-from .sweeps import instances_of_type, kernel_types_of_rank
+from .sweeps import instances_of_type, kernel_types_of_rank, partition_count
 from .sync import SyncVerdict, cerny_bound, synchronizes
 from .transformations import (
     MAX_DEGREE,
@@ -213,10 +214,11 @@ def cmd_verify(args) -> int:
     if args.max_instances is not None and args.max_instances < 0:
         _usage_error(f"--max-instances {args.max_instances}: a budget is at least 0 instances")
     budget = Budget(seconds=args.budget_seconds, max_instances=args.max_instances)
-    report = verify_theorem(
-        args.id, max_degree=_max_degree(args.max_degree), budget=budget,
-        cap=_closure_cap(),
-    )
+    max_degree = _max_degree(args.max_degree)
+    try:
+        report = verify_theorem(args.id, max_degree=max_degree, budget=budget, cap=_closure_cap())
+    except ValueError as exc:  # a kernel type too large for a partition table
+        _usage_error(f"verify {args.id} --max-degree {max_degree}: {exc}")
     sys.stdout.write(report_emit(report, args.format, include_timings=args.timings))
     return {"pass": 0, "fail": 1, "inconclusive": 2}[report.status]
 
@@ -268,6 +270,12 @@ def cmd_scan(args) -> int:
             f"no catalog group of degree <= {max_degree} fits these filters; "
             "--rank must be below the degree and --kernel-type must sum to it"
         )
+    try:  # refuse a kernel type too large to enumerate before printing anything
+        for _, types in selected:
+            for kt in types:
+                partition_count(kt)
+    except ValueError as exc:
+        _usage_error(str(exc))
     for entry, types in selected:
         for kt in types:
             for inst in instances_of_type(entry.group, kt):

@@ -16,10 +16,17 @@ sweeping one kernel partition per G-orbit combined with one image
 assignment per orbit of the right G-action covers every map of a given
 kernel type. Both reductions are used:
 
-- kernel_orbit_representatives enumerates partitions of the wanted type
-  and keeps the smallest member of each G-orbit. Orbits are walked with
-  PermutationGroup.orbit on raw canonical block tuples, so no Partition is
-  built per orbit step;
+- kernel_orbit_representatives labels the orbits of a table. One table
+  per kernel type (partition_table, memoised) holds every partition of the
+  type as an int8 row of block labels in first-occurrence order, which is
+  the canonical block order, with the rows in enumeration order, a sorted
+  byte key per row (each point replaced by the least point of its block)
+  and the rows in the tuple order of Partition.blocks. Per group, each
+  generator moves every row at once and searchsorted turns the moved keys
+  into an index map; min-label propagation with pointer jumping over those
+  maps gives each row the least enumeration index of its orbit. The kept
+  representative of an orbit is its tuple-least row, and Partition objects
+  are built only for those;
 - assignment_representatives normalises the first t coordinates of the
   image tuple to 0, 1, ..., t-1 (t = transitivity degree), then removes the
   residual pointwise-stabilizer symmetry when that stabilizer is small
@@ -36,9 +43,11 @@ many idempotent assignments (one image point inside each block).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain, combinations, permutations, product, repeat
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -49,36 +58,165 @@ STABILIZER_ENUMERATION_CAP = 20_000
 # (stabilizer element, row, coordinate) cells the canonicity filter
 # compares at once
 CANONICITY_CHUNK_CELLS = 1 << 18
+# largest partition table built: about 80 MB at degree 16. Every type up
+# to degree 12 fits; degree 15 rank 4 reaches 6.3 million partitions
+MAX_TABLE_PARTITIONS = 2_000_000
+# partition tables kept, one per kernel type; the benchmark's five-sweep
+# pass at degree 9-10 uses 85
+TABLE_CACHE_SIZE = 256
+
+
+def partition_count(kt: KernelType) -> int:
+    """Number of partitions of the type: n! / (prod s_i! * prod m_j!).
+
+    s_i are the block sizes and m_j the multiplicities of the distinct
+    sizes. Above MAX_TABLE_PARTITIONS a ValueError names the count, so a
+    table too large to hold is refused before anything is allocated.
+    """
+    count = math.factorial(kt.degree)
+    for size, times in Counter(kt.sizes).items():
+        count //= math.factorial(size) ** times * math.factorial(times)
+    if count > MAX_TABLE_PARTITIONS:
+        raise ValueError(
+            f"kernel type {kt} has {count:,} partitions, "
+            f"more than the {MAX_TABLE_PARTITIONS:,} a partition table holds"
+        )
+    return count
+
+
+def _label_rows(kt: KernelType) -> Iterator[list[int]]:
+    """Block-label rows of every partition of the type, in enumeration order.
+
+    Each row is the same list, refilled; copy it before the next one.
+
+    Blocks are anchored at their least point and realised in lexicographic
+    order: the size of the anchored block (larger first), then its other
+    points. A block's label is its place in that order, so labels run in
+    first-occurrence order.
+    """
+    row = [0] * kt.degree
+
+    def rec(remaining: list[int], pool: tuple[int, ...], label: int):
+        if not remaining:
+            yield row
+            return
+        anchor, rest = remaining[0], remaining[1:]
+        row[anchor] = label
+        for size in sorted(set(pool), reverse=True):
+            i = pool.index(size)
+            smaller = pool[:i] + pool[i + 1 :]
+            for extra in combinations(rest, size - 1):
+                for x in extra:
+                    row[x] = label
+                left = [x for x in rest if x not in extra]
+                yield from rec(left, smaller, label + 1)
+
+    yield from rec(list(range(kt.degree)), kt.sizes, 0)
+
+
+def _block_minima(labels: np.ndarray, rank: int) -> np.ndarray:
+    """One byte key per label row: every point replaced by the least point of its block.
+
+    Rows with equal keys are the same partition, whatever their labels, and
+    byte keys compare as unsigned bytes, so they sort at any degree.
+    """
+    count, n = labels.shape
+    least = np.empty((count, rank), dtype=np.uint8)
+    rows = np.arange(count)
+    for x in range(n - 1, -1, -1):
+        least[rows, labels[:, x]] = x
+    minima = np.take_along_axis(least, labels, axis=1)
+    return np.ascontiguousarray(minima).view(np.dtype((np.void, n)))[:, 0]
+
+
+def _tuple_order(labels: np.ndarray, rank: int) -> np.ndarray:
+    """Row indices in the tuple order of the canonical block lists.
+
+    Each row is flattened to its blocks in label order, points ascending,
+    each block followed by a terminator that sorts below every point, so a
+    block that is a prefix of another compares smaller, as in tuples.
+    """
+    count, n = labels.shape
+    width = n + 1  # points 0..n-1, then the terminator n, per label
+    cells = np.empty((count, n + rank), dtype=np.int16)
+    cells[:, :n] = labels.astype(np.int16) * width + np.arange(n, dtype=np.int16)
+    cells[:, n:] = np.arange(rank, dtype=np.int16) * width + n
+    cells.sort(axis=1)
+    # terminator n -> 0, point x -> x + 1
+    flat = ((cells % width + 1) % width).astype(np.uint8)
+    return np.argsort(flat.view(np.dtype((np.void, n + rank)))[:, 0]).astype(np.int32)
+
+
+class PartitionTable(NamedTuple):
+    """Every partition of one kernel type, as read-only arrays.
+
+    rows: int8 block labels in first-occurrence order, one row per
+    partition, in enumeration order; keys: the _block_minima keys, sorted;
+    key_rows[i]: the row whose key is keys[i]; tuple_order: the row
+    indices in the tuple order of Partition.blocks.
+    """
+
+    rows: np.ndarray
+    keys: np.ndarray
+    key_rows: np.ndarray
+    tuple_order: np.ndarray
+
+    def find(self, labels: np.ndarray, rank: int) -> np.ndarray:
+        """The row index of each label row, whatever its labelling."""
+        return self.key_rows[np.searchsorted(self.keys, _block_minima(labels, rank))]
+
+
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
+def partition_table(kt: KernelType) -> PartitionTable:
+    """The table of a kernel type; built once, and never written afterwards."""
+    n = kt.degree
+    count = partition_count(kt)
+    rows = np.fromiter(
+        chain.from_iterable(_label_rows(kt)), dtype=np.int8, count=count * n
+    ).reshape(count, n)
+    keys = _block_minima(rows, kt.rank)
+    key_rows = np.argsort(keys).astype(np.int32)
+    table = PartitionTable(rows, keys[key_rows], key_rows, _tuple_order(rows, kt.rank))
+    for array in table:
+        array.setflags(write=False)
+    return table
+
+
+def _partition(degree: int, labels: list[int], rank: int) -> Partition:
+    blocks: list[list[int]] = [[] for _ in range(rank)]
+    for x, label in enumerate(labels):
+        blocks[label].append(x)
+    return Partition(degree, tuple(map(tuple, blocks)))
 
 
 def partitions_of_type(kt: KernelType) -> Iterator[Partition]:
     """All partitions of range(degree) with the given block-size multiset.
 
-    Deterministic: blocks are anchored at their minimum, realised in
-    lexicographic order.
+    Deterministic: the rows of partition_table, in enumeration order.
     """
-    n = kt.degree
-    sizes = kt.sizes
+    for labels in partition_table(kt).rows:
+        yield _partition(kt.degree, labels.tolist(), kt.rank)
 
-    def rec(remaining: frozenset[int], size_pool: tuple[int, ...]):
-        if not remaining:
-            yield []
-            return
-        anchor = min(remaining)
-        rest = sorted(remaining - {anchor})
-        tried = set()
-        for i, s in enumerate(size_pool):
-            if s in tried:
-                continue
-            tried.add(s)
-            pool = size_pool[:i] + size_pool[i + 1 :]
-            for extra in combinations(rest, s - 1):
-                block = (anchor, *extra)
-                for tail in rec(remaining - set(block), pool):
-                    yield [block] + tail
 
-    for blocks in rec(frozenset(range(n)), sizes):
-        yield Partition(n, tuple(sorted(blocks)))
+def _orbit_labels(moves: list[np.ndarray], count: int) -> np.ndarray:
+    """For every row, the least row index of its orbit under the index maps.
+
+    Min-label propagation along each map and its inverse, then pointer
+    jumping (label = label[label]); a label only ever names a row of the
+    same orbit and never grows, so when a round changes nothing the label
+    is constant on each orbit and equals its least index.
+    """
+    label = np.arange(count, dtype=np.int32)
+    while True:
+        new = label.copy()
+        for move in moves:
+            np.minimum(new, label[move], out=new)
+            new[move] = np.minimum(new[move], label)
+        while not np.array_equal(jumped := new[new], new):
+            new = jumped
+        if np.array_equal(new, label):
+            return label
+        label = new
 
 
 def kernel_orbit_representatives(
@@ -88,19 +226,18 @@ def kernel_orbit_representatives(
 
     The representative is the smallest partition of its orbit under plain
     tuple comparison of the canonical block lists; orbits are listed in
-    order of first appearance.
+    order of first appearance in partitions_of_type.
     """
     if kt.degree != group.degree:
         raise ValueError("kernel type degree mismatch")
-    seen: set[tuple[tuple[int, ...], ...]] = set()
-    reps: list[Partition] = []
-    for p in partitions_of_type(kt):
-        if p.blocks in seen:
-            continue
-        orbit = [blocks for blocks, _ in group.orbit(p.blocks, act_on_blocks)]
-        seen.update(orbit)
-        reps.append(Partition(kt.degree, min(orbit)))
-    return reps
+    table = partition_table(kt)
+    moves = [table.find(table.rows[:, g.images], kt.rank) for g in group.generators]
+    label = _orbit_labels(moves, len(table.rows))
+    # np.unique lists each orbit by its least index, with the position of its
+    # first row in tuple order
+    _, first = np.unique(label[table.tuple_order], return_index=True)
+    kept = table.rows[table.tuple_order[first]]
+    return [_partition(kt.degree, labels, kt.rank) for labels in kept.tolist()]
 
 
 def canonical_kernel(group: PermutationGroup, blocks: Partition):

@@ -3,7 +3,7 @@
 Run with ``pytest -s tests/test_acceptance.py`` to see the per-criterion
 lines as they complete; the whole module is single-threaded and takes
 about a minute on a 2-CPU host, most of it in criterion 1 (about 30 s)
-and criterion 3 (about 16 s).
+and criterion 3 (about 11 s).
 """
 import itertools
 import os

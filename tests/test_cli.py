@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from synchrolab import sweeps
 from synchrolab.cli import main
 
 
@@ -371,6 +372,24 @@ class TestBadInput:
         message = run_rejected(capsys, "scan", "--max-degree", "5", *flags)
         assert message.startswith("error: no catalog group of degree <= 5 fits these filters")
         assert message.count("\n") == 1
+
+    def test_scan_kernel_type_too_large(self, capsys):
+        """Refused from the partition count alone, before any table or output."""
+        message = run_rejected(capsys, "scan", "--max-degree", "16", "--degree", "16", "--rank", "4")
+        assert message == (
+            "error: kernel type (8,5,2,1) has 2,162,160 partitions, "
+            "more than the 2,000,000 a partition table holds\n"
+        )
+
+    def test_verify_kernel_type_too_large(self, capsys, monkeypatch):
+        """The same refusal mid-sweep; a lowered limit keeps the sweep small."""
+        monkeypatch.setattr(sweeps, "MAX_TABLE_PARTITIONS", 100)
+        sweeps.partition_table.cache_clear()  # tables built under the real limit
+        message = run_rejected(capsys, "verify", "small-ranks", "--max-degree", "7")
+        assert message == (
+            "error: verify small-ranks --max-degree 7: kernel type (4,2,1) has 105 "
+            "partitions, more than the 100 a partition table holds\n"
+        )
 
     @pytest.mark.parametrize("command", ["check", "word", "gr", "depth", "closure"])
     @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -16,6 +17,7 @@ from synchrolab.catalog import (
 )
 from synchrolab.semigroups import group_and_map_closure
 from synchrolab.sweeps import (
+    MAX_TABLE_PARTITIONS,
     STABILIZER_ENUMERATION_CAP,
     assignment_representatives,
     canonical_instance,
@@ -25,6 +27,8 @@ from synchrolab.sweeps import (
     kernel_orbit_representatives,
     kernel_types_of_rank,
     map_from_assignment,
+    partition_count,
+    partition_table,
     partitions_of_type,
 )
 from synchrolab.sync import synchronizes
@@ -78,7 +82,32 @@ def reference_orbit(group, partition):
     return orbit
 
 
+# SHA-256 of repr([p.blocks for p in partitions_of_type(kt)]), recorded
+# from the recursive enumerator that the partition table replaced; the
+# enumeration order is what "first appearance" of an orbit refers to
+PARTITION_DIGESTS = [
+    ((2, 2, 1, 1), 45, "baa710510f44cd6528749cb32fafbe1563f245cbdbed010c06e1e77ff5027229"),
+    ((3, 2, 1, 1), 210, "4381ac6835fed331697a34b7c3b3f997d8e599a2114e9cc15509838cae70eb1a"),
+    ((3, 3, 1, 1), 280, "e99d74d485f9887e7f5310750cf941dbb3cceb81b8b1097ffbcfe3d6b0eeea1a"),
+    ((4, 2, 2), 210, "bbd814c972ac6e8ed5b2ab0238b4718880b3dccd5e8a41296708d1dac066009f"),
+    ((3, 2, 2, 1, 1), 3780, "618b583053f33e7d4ad0c592e65f45403572b6f494e3e19057d5e8c9444211a4"),
+    ((4, 3, 2), 1260, "b9b45ca45f90c9559f2ad4586c65d90410d8576baa01aabfa4046d104306e5a6"),
+    ((2, 1, 1, 1, 1, 1, 1, 1), 36, "d7f047d3f83d7ca242cae82ea3adb03f346b6788222910248ac34284ef23e6d6"),
+]
+
+
 class TestPartitionEnumeration:
+    @pytest.mark.parametrize("sizes,count,digest", PARTITION_DIGESTS, ids=str)
+    def test_order_pinned(self, sizes, count, digest):
+        blocks = [p.blocks for p in partitions_of_type(KernelType(sizes))]
+        assert len(blocks) == count
+        assert hashlib.sha256(repr(blocks).encode()).hexdigest() == digest
+
+    def test_count_formula(self):
+        for n in range(1, 9):
+            for kt in all_kernel_types(n):
+                assert partition_count(kt) == sum(1 for _ in partitions_of_type(kt)), kt
+
     def test_counts(self):
         # multinomial 9! / (3!^3 * 3!) partitions of type (3,3,3)
         kt = KernelType((3, 3, 3))
@@ -141,20 +170,51 @@ def all_kernel_types(n):
     return [kt for rank in range(1, n + 1) for kt in kernel_types_of_rank(n, rank)]
 
 
+# degree 8-10: the degrees of the benchmark's sweeps
+SWEPT_CATALOG = [e for e in build_catalog(10) if e.degree >= 8]
+
+
+def swept_kernel_types(n):
+    """The kernel types the theorem sweeps use at degree n.
+
+    Ranks 3 and 4 (small-ranks), rank n-2 (rank-n-2), (3,2,1,...,1)
+    (rankpres-32, idempotent-32) and (k,1,...,1) (rystsov and
+    imprimitivity-char).
+    """
+    types = [kt for rank in (3, 4, n - 2) for kt in kernel_types_of_rank(n, rank)]
+    types.append(KernelType((3, 2) + (1,) * (n - 5)))
+    types.extend(KernelType((k,) + (1,) * (n - k)) for k in range(2, n))
+    return list(dict.fromkeys(types))
+
+
+def reference_representatives(group, kt):
+    """Tuple-least member of each orbit, orbits in order of first appearance."""
+    expected = []
+    seen = set()
+    for p in partitions_of_type(kt):
+        if p.blocks not in seen:
+            orbit = reference_orbit(group, p)
+            seen |= orbit
+            expected.append(min(orbit))
+    return expected
+
+
 class TestKernelOrbitWalk:
     @pytest.mark.parametrize("entry", SMALL_CATALOG, ids=lambda e: e.name)
     def test_reps_are_orbit_minima_in_first_seen_order(self, entry):
         group = entry.group
-        n = group.degree
-        for kt in all_kernel_types(n):
-            expected = []
-            seen = set()
-            for p in partitions_of_type(kt):
-                if p.blocks not in seen:
-                    orbit = reference_orbit(group, p)
-                    seen |= orbit
-                    expected.append(min(orbit))
-            assert [r.blocks for r in kernel_orbit_representatives(group, kt)] == expected
+        for kt in all_kernel_types(group.degree):
+            assert [
+                r.blocks for r in kernel_orbit_representatives(group, kt)
+            ] == reference_representatives(group, kt)
+
+    @pytest.mark.parametrize("entry", SWEPT_CATALOG, ids=lambda e: e.name)
+    def test_reps_match_reference_on_swept_types(self, entry):
+        group = entry.group
+        for kt in swept_kernel_types(group.degree):
+            assert [
+                r.blocks for r in kernel_orbit_representatives(group, kt)
+            ] == reference_representatives(group, kt), kt
 
     @pytest.mark.parametrize("entry", SMALL_CATALOG, ids=lambda e: e.name)
     def test_canonical_kernel_returns_rep_and_mover(self, entry):
@@ -170,6 +230,32 @@ class TestKernelOrbitWalk:
                     assert best == rep
                     assert group.contains(u)
                     assert moved.apply(u) == rep
+
+
+class TestPartitionTable:
+    def test_oversize_type_refused_before_allocation(self):
+        # 16! / (4!^4 * 4!) partitions; the formula alone decides
+        kt = KernelType((4, 4, 4, 4))
+        assert MAX_TABLE_PARTITIONS < 2_627_625
+        with pytest.raises(ValueError, match="has 2,627,625 partitions"):
+            partition_table(kt)
+        with pytest.raises(ValueError, match="has 2,627,625 partitions"):
+            kernel_orbit_representatives(symmetric_group(16), kt)
+
+    def test_cached_arrays_are_read_only(self):
+        table = partition_table(KernelType((3, 2, 1)))
+        assert table is partition_table(KernelType((3, 2, 1)))
+        for array in table:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = array[1]
+
+    def test_tuple_order_sorts_block_tuples(self):
+        # unequal block sizes, so some block is a prefix of another
+        kt = KernelType((3, 2, 2, 1))
+        table = partition_table(kt)
+        order = [table.rows[i].tolist() for i in table.tuple_order]
+        by_tuple = sorted(partitions_of_type(kt), key=lambda p: p.blocks)
+        assert order == [list(p.block_index) for p in by_tuple]
 
 
 class TestAssignmentRepresentatives:
