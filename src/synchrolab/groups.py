@@ -1,11 +1,14 @@
 """Permutation groups given by generators.
 
 Point orbits, block systems and primitivity use elementary union-find
-methods; order and membership use a deterministic stabilizer chain with
-base order 0, 1, 2, ... so that cached results are reproducible across
-runs. Orbits on point sets, pairs and partitions all come from one
-breadth-first walker, PermutationGroup.orbit, which also records the
-generator word reaching each orbit member.
+methods; order and membership use an incremental deterministic
+Schreier-Sims chain with base order 0, 1, 2, ..., so that cached results
+are reproducible across runs. Each (orbit point, strong generator) pair of
+a level is sifted once, and transversal elements, once found, are kept.
+Primitivity closes one block per suborbit: {0, b} for one b per orbit of
+the chain's strong generators fixing 0. Orbits on point sets, pairs and
+partitions all come from one breadth-first walker, PermutationGroup.orbit,
+which also records the generator word reaching each orbit member.
 
 A group is immutable after construction; lazy caches (stabilizer chain,
 pair orbits, block systems, stabilizer element lists) are filled on first
@@ -14,8 +17,9 @@ use and identical regardless of call order, so instances may be shared.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from pathlib import Path
 
 from .transformations import (
@@ -55,15 +59,9 @@ class _UnionFind:
         return True
 
 
-@dataclass
-class _ChainLevel:
-    point: int
-    gens: list[tuple[int, ...]] = field(default_factory=list)
-    transversal: dict[int, tuple[int, ...]] = field(default_factory=dict)
-
-
 def _mult(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(q[x] for x in p)
+    """p then q: the image tuple of x -> q[p[x]] (degree at least 2)."""
+    return itemgetter(*p)(q)
 
 
 def _inv(p: tuple[int, ...]) -> tuple[int, ...]:
@@ -74,113 +72,123 @@ def _inv(p: tuple[int, ...]) -> tuple[int, ...]:
 
 
 class _StabilizerChain:
-    """Deterministic Schreier-Sims chain with the full base (0, 1, ..., n-1).
+    """Incremental deterministic Schreier-Sims chain with the full base (0, 1, ..., n-1).
 
-    Levels whose orbit is a singleton are kept; they cost nothing and make
-    the base order literal. Generators are stored at the level of their
-    first moved point.
+    ``transversals[i]`` maps each point p of the orbit of i under the
+    pointwise stabilizer of 0..i-1 to an element carrying i to p. Levels
+    whose orbit is a singleton are kept; they cost nothing and make the base
+    order literal. Each strong generator belongs to the level of its first
+    moved point, and the stabilizer at level i is generated by the strong
+    generators of levels i and deeper. ``strong_generators`` holds them all,
+    in the order found.
+
+    Closing starts at the deepest level holding a generator and works up
+    (Seress, *Permutation Group Algorithms*, 2003, ch. 4). Each (orbit
+    point, strong generator) pair of a level is handled once: either it
+    extends the orbit in place, or its Schreier generator is sifted through
+    the deeper levels with the inverse transversal elements. A residue that
+    does not sift to the identity becomes a strong generator at the level
+    where it stuck, and closing resumes there. Transversal elements are
+    never replaced, so a pair that sifted once stays sifted. The inverses,
+    the record of handled pairs and the per-level generator lists exist only
+    while closing.
     """
 
     def __init__(self, generators: list[tuple[int, ...]], degree: int):
         self.n = degree
-        self.levels = [_ChainLevel(point=i) for i in range(degree)]
         ident = tuple(range(degree))
-        for lv in self.levels:
-            lv.transversal[lv.point] = ident
-        placed = False
-        for g in generators:
-            if g != ident:
-                self._place(g)
-                placed = True
-        if placed:
-            self._close()
+        self.transversals = [{i: ident} for i in range(degree)]
+        self.strong_generators: tuple[tuple[int, ...], ...] = ()
+        nontrivial = [g for g in generators if g != ident]
+        if nontrivial:
+            self._close(nontrivial)
 
-    def _place(self, g: tuple[int, ...]):
-        level = next(i for i in range(self.n) if g[i] != i)
-        self.levels[level].gens.append(g)
+    def _close(self, generators: list[tuple[int, ...]]):
+        n = self.n
+        # gens[i]: strong generators of level i and deeper, in the order found;
+        # done[i][p]: how many of gens[i] have been handled at the point p
+        gens: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
+        done = [[0] * n for _ in range(n)]
+        inverses = [dict(t) for t in self.transversals]
+        orbits = [[i] for i in range(n)]
+        strong = []
 
-    def _gens_at(self, i: int) -> list[tuple[int, ...]]:
-        return [g for lv in self.levels[i:] for g in lv.gens]
+        def add(g: tuple[int, ...]) -> int:
+            level = next(i for i in range(n) if g[i] != i)
+            strong.append(g)
+            for k in range(level + 1):
+                gens[k].append(g)
+            return level
 
-    def _rebuild_orbit(self, i: int):
-        lv = self.levels[i]
-        gens = self._gens_at(i)
-        ident = tuple(range(self.n))
-        lv.transversal = {lv.point: ident}
-        order = [lv.point]
-        for p in order:
-            u = lv.transversal[p]
-            for g in gens:
-                q = g[p]
-                if q not in lv.transversal:
-                    lv.transversal[q] = _mult(u, g)
-                    order.append(q)
-
-    def _strip(self, g: tuple[int, ...], start: int) -> tuple[tuple[int, ...], int]:
-        for i in range(start, self.n):
-            lv = self.levels[i]
-            p = g[lv.point]
-            if p == lv.point:
-                continue
-            if p not in lv.transversal:
-                return g, i
-            g = _mult(g, _inv(lv.transversal[p]))
-        return g, self.n
-
-    def _close(self):
-        deepest = max(
-            (i for i in range(self.n) if self.levels[i].gens), default=-1
-        )
-        i = deepest
+        i = max(map(add, generators))
         while i >= 0:
-            self._rebuild_orbit(i)
-            lv = self.levels[i]
-            gens = self._gens_at(i)
-            dirty = False
-            for p in sorted(lv.transversal):
-                u = lv.transversal[p]
-                for g in gens:
-                    target = lv.transversal[g[p]]
-                    schreier = _mult(_mult(u, g), _inv(target))
-                    residue, j = self._strip(schreier, i + 1)
-                    if j < self.n and any(
-                        residue[x] != x for x in range(self.n)
-                    ):
-                        self.levels[j].gens.append(residue)
-                        i = j
-                        dirty = True
-                        break
-                if dirty:
-                    break
-            if not dirty:
-                i -= 1
+            residue = self._close_level(i, gens[i], done[i], orbits[i], inverses)
+            i = i - 1 if residue is None else add(residue)
+        self.strong_generators = tuple(strong)
+
+    def _close_level(self, i, level_gens, level_done, orbit, inverses):
+        """Handle level i's pairs not handled before; the first residue that does not sift, or None."""
+        transversal, inverse = self.transversals[i], inverses[i]
+        ident = transversal[i]
+        for p in orbit:  # grows while it is walked
+            u = transversal[p]
+            while level_done[p] < len(level_gens):
+                g = level_gens[level_done[p]]
+                level_done[p] += 1
+                ug = _mult(u, g)
+                q = g[p]
+                v = transversal.get(q)
+                if v is None:
+                    transversal[q] = ug
+                    inverse[q] = _inv(ug)
+                    orbit.append(q)
+                elif ug != v:
+                    residue = self._strip(_mult(ug, inverse[q]), i + 1, inverses)
+                    if residue != ident:
+                        return residue
+        return None
+
+    def _strip(self, g, start: int, inverses) -> tuple[int, ...]:
+        """Sift g from level ``start``; a residue stops at its first unsiftable level."""
+        ident = self.transversals[0][0]
+        for i in range(start, self.n):
+            p = g[i]
+            if p != i:
+                w = inverses[i].get(p)
+                if w is None:
+                    return g
+                g = _mult(g, w)
+                if g == ident:
+                    return g
+        return g
 
     def order(self) -> int:
-        result = 1
-        for lv in self.levels:
-            result *= len(lv.transversal)
-        return result
+        return self.suborder(0)
 
     def orbit_sizes(self) -> list[int]:
-        return [len(lv.transversal) for lv in self.levels]
+        return [len(t) for t in self.transversals]
 
     def contains(self, g: tuple[int, ...]) -> bool:
-        residue, depth = self._strip(g, 0)
-        return depth == self.n and all(residue[x] == x for x in range(self.n))
+        for i, transversal in enumerate(self.transversals):
+            p = g[i]
+            if p != i:
+                u = transversal.get(p)
+                if u is None:
+                    return False
+                g = _mult(g, _inv(u))
+        return True
 
     def suborder(self, start: int) -> int:
         """Order of the pointwise stabilizer of 0..start-1."""
         result = 1
-        for lv in self.levels[start:]:
-            result *= len(lv.transversal)
+        for t in self.transversals[start:]:
+            result *= len(t)
         return result
 
     def iter_stabilizer_elements(self, start: int):
         """Elements fixing 0..start-1 pointwise, deterministically ordered."""
         transversals = [
-            [lv.transversal[p] for p in sorted(lv.transversal)]
-            for lv in self.levels[start:]
-            if len(lv.transversal) > 1
+            [t[p] for p in sorted(t)] for t in self.transversals[start:] if len(t) > 1
         ]
         if not transversals:
             yield tuple(range(self.n))
@@ -319,14 +327,28 @@ class PermutationGroup:
         return frozenset(x for x in range(self.degree) if uf.find(x) == root)
 
     def is_primitive(self) -> bool:
-        """Transitive with no proper block containing {0, b} for any b."""
+        """Transitive with no proper block containing {0, b} for any b.
+
+        One b per suborbit suffices: for h fixing 0, the minimal block of
+        {0, b^h} is the h-image of the minimal block of {0, b}. The b are
+        taken one per orbit of the strong generators fixing 0. Those orbits
+        refine the suborbits even if the chain were wrong, so a wrong chain
+        would only cost extra block closures.
+        """
         if not self.is_transitive():
             return False
         n = self.degree
         if n == 1:
             return True
+        uf = _UnionFind(n)
+        for g in self._chain.strong_generators:
+            if g[0] == 0:
+                for x in range(1, n):
+                    uf.union(x, g[x])
         full = frozenset(range(n))
-        return all(self.minimal_block(0, b) == full for b in range(1, n))
+        return all(
+            self.minimal_block(0, b) == full for b in range(1, n) if uf.find(b) == b
+        )
 
     @cached_property
     def _nontrivial_blocks_with_zero(self) -> list[frozenset[int]]:

@@ -51,7 +51,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .groups import PermutationGroup, act_on_blocks
+from .groups import PermutationGroup
 from .transformations import KernelType, Partition, Transformation
 
 STABILIZER_ENUMERATION_CAP = 20_000
@@ -240,12 +240,6 @@ def kernel_orbit_representatives(
     return [_partition(kt.degree, labels, kt.rank) for labels in kept.tolist()]
 
 
-def canonical_kernel(group: PermutationGroup, blocks: Partition):
-    """Minimal partition of the orbit plus a permutation u with blocks*u = rep."""
-    best, word = min(group.orbit(blocks.blocks, act_on_blocks))
-    return Partition(blocks.degree, best), group.element(word)
-
-
 def assignment_representatives(group: PermutationGroup, rank: int) -> np.ndarray:
     """Injective image tuples up to the right action of the group.
 
@@ -352,62 +346,6 @@ def idempotent_instances_of_type(
             yield SweepInstance(
                 kernel, assignment, map_from_assignment(kernel, assignment)
             )
-
-
-def canonical_instance(
-    group: PermutationGroup, f: Transformation
-) -> tuple[Partition, tuple[int, ...]]:
-    """A (kernel, assignment) key; equal keys mean the same generated semigroup.
-
-    Two maps with equal keys are two-sided translates of one another, so
-    their generated semigroups are equal as sets and closure results can be
-    cached per key. The key is the kernel representative from
-    kernel_orbit_representatives plus a right-translate normalised
-    assignment. It is not canonical: the assignment is read in the block
-    order of the representative, and the setwise stabilizer of the
-    representative, which can permute those blocks, is not factored out.
-    So two translates of one map can get different keys; a cache keyed by
-    it then repeats a closure, but never shares one wrongly.
-    """
-    kernel, u = canonical_kernel(group, f.kernel())
-    # ker(u^-1 * f) = ker(f) * u = kernel
-    shifted = u.inverse() * f
-    assignment = tuple(shifted.images[block[0]] for block in kernel.blocks)
-    return kernel, _normalise_assignment(group, assignment)
-
-
-def _normalise_assignment(
-    group: PermutationGroup, assignment: tuple[int, ...]
-) -> tuple[int, ...]:
-    """Right-translate the tuple so a maximal prefix reads 0, 1, 2, ...
-
-    The residual pointwise-stabilizer symmetry is removed by minimising
-    over its elements when the stabilizer is small enough to enumerate.
-    """
-    n = group.degree
-    rank = len(assignment)
-    t = min(group.transitivity_degree(), rank)
-    current = list(assignment)
-    chain = group._chain
-    for i in range(t):
-        # move coordinate i to the point i using a transversal element
-        lv = chain.levels[i]
-        u = lv.transversal[current[i]]
-        inv = [0] * n
-        for x, y in enumerate(u):
-            inv[y] = x
-        current = [inv[x] for x in current]
-        if current[i] != i:
-            raise AssertionError("transversal normalisation failed")
-    tup = tuple(current)
-    if t > 0 and 1 < group.stabilizer_order(t) <= STABILIZER_ENUMERATION_CAP:
-        best = tup
-        for g in group.stabilizer_elements(t, STABILIZER_ENUMERATION_CAP):
-            moved = tuple(g[x] for x in tup)
-            if moved < best:
-                best = moved
-        tup = best
-    return tup
 
 
 def kernel_types_of_rank(n: int, rank: int) -> list[KernelType]:

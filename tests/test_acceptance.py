@@ -28,7 +28,7 @@ from synchrolab.semigroups import (
     is_group_section,
     regular_partition_witnesses,
 )
-from synchrolab.sweeps import canonical_instance, kernel_orbit_representatives
+from synchrolab.sweeps import kernel_orbit_representatives
 from synchrolab.sync import cerny_bound, shortest_word_length, synchronizes, word_transformation
 from synchrolab.transformations import (
     KernelType,
@@ -36,6 +36,7 @@ from synchrolab.transformations import (
     format_transformation,
     parse_transformation,
 )
+from test_sweeps import canonical_instance
 
 CAP = int(os.environ.get("SYNCHROLAB_CAP", "1000000"))
 RANDOM_MAPS_PER_GROUP = 200

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -59,6 +60,12 @@ class TestCatalogCommands:
         code, out, _ = run(capsys, "catalog", "show", "grid-3")
         assert code == 0
         assert "order:       72" in out
+        assert "primitive:   True" in out
+
+    def test_show_a64_computes_its_order(self, capsys):
+        code, out, _ = run(capsys, "catalog", "show", "A64")
+        assert code == 0
+        assert f"order:       {math.factorial(64) // 2}\n" in out
         assert "primitive:   True" in out
 
     def test_show_unknown(self, capsys):

@@ -1,4 +1,7 @@
+import functools
 import itertools
+import math
+import random
 
 import pytest
 
@@ -7,9 +10,11 @@ from synchrolab.catalog import (
     build_catalog,
     cyclic_group,
     dihedral_group,
+    find_entry,
     grid_group,
     projective_linear_group,
     symmetric_group,
+    verify_entry,
 )
 from synchrolab.groups import (
     BlockSystem,
@@ -21,7 +26,7 @@ from synchrolab.groups import (
     format_group_text,
     parse_group_text,
 )
-from synchrolab.transformations import Transformation, parse_cycles
+from synchrolab.transformations import Transformation, identity, parse_cycles
 
 
 def brute_force_elements(group):
@@ -38,6 +43,116 @@ def brute_force_elements(group):
                     new.append(prod)
         frontier = new
     return seen
+
+
+@functools.lru_cache(maxsize=None)
+def reference_chain(group):
+    """The restart-based Schreier-Sims chain that the incremental one replaced.
+
+    One transversal dict per base point 0..n-1, mapping each orbit point p
+    to an element carrying the base point to p. A strong generator sits at
+    the level of its first moved point. After every new strong generator,
+    closing restarts at its level: the orbit there is rebuilt from scratch
+    and every Schreier generator from that level down is sifted again.
+    Cached per group, since criterion 1 normalises with its transversals.
+    """
+    n = group.degree
+    ident = tuple(range(n))
+    gens = [[] for _ in range(n)]
+    transversals = [{i: ident} for i in range(n)]
+
+    def gens_at(i):
+        return [g for level in gens[i:] for g in level]
+
+    def rebuild_orbit(i):
+        transversals[i] = {i: ident}
+        order = [i]
+        for p in order:
+            u = transversals[i][p]
+            for g in gens_at(i):
+                q = g[p]
+                if q not in transversals[i]:
+                    transversals[i][q] = tuple(g[x] for x in u)
+                    order.append(q)
+
+    def strip(g, start):
+        for i in range(start, n):
+            p = g[i]
+            if p == i:
+                continue
+            if p not in transversals[i]:
+                return g, i
+            g = tuple(inverse(transversals[i][p])[x] for x in g)
+        return g, n
+
+    for g in group.generators:
+        if g.images != ident:
+            gens[next(i for i in range(n) if g.images[i] != i)].append(g.images)
+    i = max((i for i in range(n) if gens[i]), default=-1)
+    while i >= 0:
+        rebuild_orbit(i)
+        dirty = False
+        for p in sorted(transversals[i]):
+            u = transversals[i][p]
+            for g in gens_at(i):
+                ug = tuple(g[x] for x in u)
+                back = inverse(transversals[i][g[p]])
+                residue, j = strip(tuple(back[x] for x in ug), i + 1)
+                if j < n:
+                    gens[j].append(residue)
+                    i, dirty = j, True
+                    break
+            if dirty:
+                break
+        if not dirty:
+            i -= 1
+    return transversals
+
+
+def inverse(p):
+    out = [0] * len(p)
+    for x, y in enumerate(p):
+        out[y] = x
+    return tuple(out)
+
+
+def reference_order(group):
+    return math.prod(len(t) for t in reference_chain(group))
+
+
+def reference_contains(group, images):
+    g = tuple(images)
+    for i, transversal in enumerate(reference_chain(group)):
+        if g[i] != i:
+            if g[i] not in transversal:
+                return False
+            back = inverse(transversal[g[i]])
+            g = tuple(back[x] for x in g)
+    return True
+
+
+def reference_is_primitive(group):
+    """The every-b primitivity test the one-b-per-suborbit test replaced."""
+    if not group.is_transitive():
+        return False
+    n = group.degree
+    full = frozenset(range(n))
+    return all(group.minimal_block(0, b) == full for b in range(1, n))
+
+
+def wreath_s2_s3():
+    """S2 wr S3 in its imprimitive action on 6 points, blocks {1,2}, {3,4}, {5,6}."""
+    return PermutationGroup(
+        [parse_cycles(c, 6) for c in ("(1 2)", "(1 3 5)(2 4 6)", "(1 3)(2 4)")], 6
+    )
+
+
+HAND_BUILT = {
+    "trivial": PermutationGroup([], 4),
+    "identity-only": PermutationGroup([identity(5)]),
+    "intransitive": PermutationGroup([parse_cycles(c, 5) for c in ("(1 2)", "(3 4 5)")], 5),
+    "S2-wr-S3": wreath_s2_s3(),
+}
 
 
 class TestOrbits:
@@ -397,3 +512,75 @@ class TestStabilizers:
         assert alternating_group(5).transitivity_degree() == 3
         assert projective_linear_group(5).transitivity_degree() == 3
         assert cyclic_group(5).transitivity_degree() == 1
+
+
+CHAIN_CASES = [(e.name, e.group) for e in build_catalog(16)] + list(HAND_BUILT.items())
+
+
+class TestIncrementalChain:
+    """The incremental chain against reference_chain: same orbits, order, elements and membership."""
+
+    @pytest.mark.parametrize("name,group", CHAIN_CASES, ids=[c[0] for c in CHAIN_CASES])
+    def test_matches_reference_chain(self, name, group):
+        n = group.degree
+        chain = group._chain
+        assert [set(t) for t in chain.transversals] == [
+            set(t) for t in reference_chain(group)
+        ]
+        assert group.order() == reference_order(group)
+        if group.order() <= 5000:
+            assert {e.images for e in group.elements()} == brute_force_elements(group) | {
+                tuple(range(n))
+            }
+        rng = random.Random(f"chain:{name}")
+        gens = [g.images for g in group.generators]
+        for _ in range(20):
+            word = [rng.choice(gens) for _ in range(rng.randrange(1, 7))]
+            product = tuple(range(n))
+            for g in word:
+                product = tuple(g[x] for x in product)
+            assert group.contains(Transformation(product))
+        outside = 0
+        for _ in range(20):
+            images = list(range(n))
+            rng.shuffle(images)
+            member = group.contains(Transformation(tuple(images)))
+            assert member == reference_contains(group, images)
+            outside += not member
+        if group.order() < math.factorial(n) // 4:
+            assert outside > 0
+
+    def test_strong_generators_are_members(self):
+        # is_primitive reads the ones fixing 0 as elements of the stabilizer of 0
+        for _, group in CHAIN_CASES:
+            for g in group._chain.strong_generators:
+                assert reference_contains(group, g)
+
+    def test_served_degrees_verify(self):
+        # S_n and A_n at the degrees the catalog serves, orders recomputed
+        for n in (40, 48, 64):
+            for name in (f"S{n}", f"A{n}"):
+                entry = find_entry(name)
+                verify_entry(entry)
+                assert entry.group.order() == math.factorial(n) // (2 if name[0] == "A" else 1)
+
+
+COMPOSITE = (4, 6, 8, 9, 10, 12, 15, 16)
+IMPRIMITIVE_CASES = (
+    [(f"C{n}", cyclic_group(n)) for n in COMPOSITE]
+    + [(f"D{n}", dihedral_group(n)) for n in COMPOSITE]
+    + [("S2-wr-S3", HAND_BUILT["S2-wr-S3"]), ("intransitive", HAND_BUILT["intransitive"])]
+)
+PRIMITIVITY_CASES = [(e.name, e.group) for e in build_catalog(64)] + IMPRIMITIVE_CASES
+
+
+class TestSuborbitPrimitivity:
+    @pytest.mark.parametrize(
+        "name,group", PRIMITIVITY_CASES, ids=[c[0] for c in PRIMITIVITY_CASES]
+    )
+    def test_matches_every_b_reference(self, name, group):
+        assert group.is_primitive() == reference_is_primitive(group)
+
+    def test_imprimitive_cases_are_caught(self):
+        for name, group in IMPRIMITIVE_CASES:
+            assert not group.is_primitive(), name

@@ -15,13 +15,12 @@ from synchrolab.catalog import (
     projective_linear_group,
     symmetric_group,
 )
+from synchrolab.groups import act_on_blocks
 from synchrolab.semigroups import group_and_map_closure
 from synchrolab.sweeps import (
     MAX_TABLE_PARTITIONS,
     STABILIZER_ENUMERATION_CAP,
     assignment_representatives,
-    canonical_instance,
-    canonical_kernel,
     idempotent_instances_of_type,
     instances_of_type,
     kernel_orbit_representatives,
@@ -33,6 +32,7 @@ from synchrolab.sweeps import (
 )
 from synchrolab.sync import synchronizes
 from synchrolab.transformations import KernelType, Partition, Transformation
+from test_groups import reference_chain
 
 
 def all_maps_of_type(n, kt):
@@ -40,6 +40,60 @@ def all_maps_of_type(n, kt):
     for blocks in partitions_of_type(kt):
         for assignment in itertools.permutations(range(n), kt.rank):
             yield Transformation(map_from_assignment(blocks, assignment))
+
+
+def canonical_kernel(group, blocks):
+    """Minimal partition of the orbit plus a permutation u with blocks*u = rep."""
+    best, word = min(group.orbit(blocks.blocks, act_on_blocks))
+    return Partition(blocks.degree, best), group.element(word)
+
+
+def canonical_instance(group, f):
+    """A (kernel, assignment) key; equal keys mean the same generated semigroup.
+
+    Two maps with equal keys are two-sided translates of one another, so
+    their generated semigroups are equal as sets and closure results can be
+    cached per key. The key is the kernel representative from
+    canonical_kernel plus a right-translate normalised assignment. It is
+    not canonical: the assignment is read in the block order of the
+    representative, and the setwise stabilizer of the representative, which
+    can permute those blocks, is not factored out. So two translates of one
+    map can get different keys; a cache keyed by it then repeats a closure,
+    but never shares one wrongly.
+    """
+    kernel, u = canonical_kernel(group, f.kernel())
+    # ker(u^-1 * f) = ker(f) * u = kernel
+    shifted = u.inverse() * f
+    assignment = tuple(shifted.images[block[0]] for block in kernel.blocks)
+    return kernel, normalise_assignment(group, assignment)
+
+
+def normalise_assignment(group, assignment):
+    """Right-translate the tuple so a maximal prefix reads 0, 1, 2, ...
+
+    Coordinate i is moved to the point i by a transversal element of
+    reference_chain, which fixes 0..i-1. The residual pointwise-stabilizer
+    symmetry is removed by minimising over its elements when the stabilizer
+    is small enough to enumerate.
+    """
+    n = group.degree
+    t = min(group.transitivity_degree(), len(assignment))
+    current = list(assignment)
+    transversals = reference_chain(group)
+    for i in range(t):
+        u = transversals[i][current[i]]
+        inv = [0] * n
+        for x, y in enumerate(u):
+            inv[y] = x
+        current = [inv[x] for x in current]
+        assert current[i] == i, "transversal normalisation failed"
+    tup = tuple(current)
+    if t > 0 and 1 < group.stabilizer_order(t) <= STABILIZER_ENUMERATION_CAP:
+        tup = min(
+            tuple(g[x] for x in tup)
+            for g in group.stabilizer_elements(t, STABILIZER_ENUMERATION_CAP)
+        )
+    return tup
 
 
 def reference_assignment_representatives(group, rank):
