@@ -5,7 +5,8 @@ closure. The environment variable SYNCHROLAB_CAP overrides the default
 closure cap. verify exits 0 on pass, 1 when a counterexample was found and
 2 when the budget ran out (inconclusive). Bad input, whether a malformed
 argument value, an unknown group, a kernel type too large to enumerate
-(scan, verify) or a command line argparse rejects, exits 64 (EX_USAGE), a
+(scan, verify), an output path that cannot be written (check, gr,
+closure) or a command line argparse rejects, exits 64 (EX_USAGE), a
 status no verify outcome uses; all but the last print one ``error: ...``
 line. When the reader of the output goes away (``| head``), every
 subcommand stops quietly with exit 141, the status of a process ended by
@@ -108,6 +109,14 @@ def _parse_map(text: str, group: PermutationGroup) -> Transformation:
     )
 
 
+def _write_output(flag: str, path: str, text: str):
+    """Write text to path, or one error line naming the flag when that fails."""
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        _usage_error(f"{flag} {path!r}: {exc.strerror or exc}")
+
+
 def _verdict_json(
     group: str, f: Transformation, verdict: SyncVerdict, note: str = ""
 ) -> str:
@@ -161,6 +170,8 @@ def cmd_check(args) -> int:
     name, group = _load_group(args.group)
     f = _parse_map(args.map, group)
     verdict = synchronizes(group, f)
+    if args.emit_dot:  # before any output, so a bad path leaves only the error line
+        _write_output("--emit-dot", args.emit_dot, verdict.obstruction.to_dot())
     print(
         f"{name}: {'synchronizes' if verdict.synchronizes else 'does NOT synchronize'} "
         f"{format_transformation(f)}"
@@ -174,8 +185,6 @@ def cmd_check(args) -> int:
             f"obstruction graph: {verdict.obstruction.edge_count} edges, "
             f"min rank {verdict.min_rank_bound}"
         )
-    if args.emit_dot:
-        Path(args.emit_dot).write_text(verdict.obstruction.to_dot())
     print(_verdict_json(name, f, verdict, verdict.note or ""))
     return 0
 
@@ -201,7 +210,7 @@ def cmd_gr(args) -> int:
     graph = synchronizes(group, f).obstruction
     text = graph.to_adjacency_text() if args.adjacency else graph.to_dot()
     if args.emit_dot:
-        Path(args.emit_dot).write_text(text)
+        _write_output("--emit-dot", args.emit_dot, text)
         print(f"wrote {args.emit_dot}")
     else:
         sys.stdout.write(text)
@@ -291,7 +300,7 @@ def cmd_closure(args) -> int:
     c = group_and_map_closure(group, f, cap=cap)
     text = c.dump()
     if args.out:
-        Path(args.out).write_text(text)
+        _write_output("--out", args.out, text)
         print(f"wrote {len(c)} elements to {args.out}" + (" (truncated)" if c.truncated else ""))
     else:
         sys.stdout.write(text)

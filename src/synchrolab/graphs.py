@@ -7,6 +7,7 @@ Neighbourhoods are open throughout: a vertex is never its own neighbour.
 """
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence
@@ -20,19 +21,38 @@ class Graph:
     rows: tuple[int, ...]
 
     def __post_init__(self):
-        if not 1 <= self.n <= MAX_DEGREE:
+        n, rows = self.n, self.rows
+        if not 1 <= n <= MAX_DEGREE:
             raise ValueError(f"vertex count must be in [1, {MAX_DEGREE}]")
-        if len(self.rows) != self.n:
+        if len(rows) != n:
             raise ValueError("one adjacency row per vertex required")
-        mask = (1 << self.n) - 1
-        for v, row in enumerate(self.rows):
-            if row & ~mask:
-                raise ValueError(f"row {v} mentions vertices beyond {self.n}")
-            if row >> v & 1:
-                raise ValueError(f"vertex {v} adjacent to itself")
-            for w in _bits(row):
-                if not self.rows[w] >> v & 1:
-                    raise ValueError(f"asymmetric edge {v},{w}")
+        if not any(rows):
+            return
+        # Errors name the first bad row, or the first edge v,w with w not
+        # adjacent to v, whichever comes first in row order.
+        mask = (1 << n) - 1
+        beyond = ~mask
+        fault = None
+        for v, row in enumerate(rows):
+            if row & beyond:
+                fault = v, f"row {v} mentions vertices beyond {n}"
+            elif row >> v & 1:
+                fault = v, f"vertex {v} adjacent to itself"
+            else:
+                continue
+            # only the bits below n matter to the edges of the rows before v
+            rows = [row & mask for row in rows]
+            break
+        # the rows as one int, row v at bit 64v; bit 64v + w of one_way is
+        # set when w is a neighbour of v but v is not one of w
+        matrix = int.from_bytes(array("Q", rows).tobytes(), "little")
+        one_way = matrix & ~_transpose(matrix)
+        if one_way:
+            v, w = divmod((one_way & -one_way).bit_length() - 1, 64)
+            if fault is None or v < fault[0]:
+                raise ValueError(f"asymmetric edge {v},{w}")
+        if fault is not None:
+            raise ValueError(fault[1])
 
     @staticmethod
     def null(n: int) -> "Graph":
@@ -215,6 +235,33 @@ class Graph:
             )
             + "\n"
         )
+
+
+# Transpose masks of a 64 x 64 bit matrix packed row-major into one int
+# (bit 64v + w is entry v, w): for each block size j, the entries whose row
+# has bit j clear and whose column has it set, the upper-right cell of
+# every 2j x 2j block.
+_TRANSPOSE_STEPS = tuple(
+    (
+        63 * j,
+        sum(1 << 64 * v for v in range(64) if not v & j)
+        * sum(1 << w for w in range(64) if w & j),
+    )
+    for j in (32, 16, 8, 4, 2, 1)
+)
+
+
+def _transpose(matrix: int) -> int:
+    """The packed 64 x 64 bit matrix transposed, by six delta swaps.
+
+    Step j swaps the upper-right and lower-left j x j cells of every
+    2j x 2j block: entry v, w with v & j == 0 and w & j != 0 trades places
+    with v + j, w - j, which lies 63j bits higher.
+    """
+    for shift, mask in _TRANSPOSE_STEPS:
+        t = (matrix ^ matrix >> shift) & mask
+        matrix ^= t ^ t << shift
+    return matrix
 
 
 def _bits(mask: int) -> Iterator[int]:

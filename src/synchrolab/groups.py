@@ -211,13 +211,6 @@ def act_on_pair(pair: tuple[int, int], g: tuple[int, ...]) -> tuple[int, int]:
     return (a, b) if a < b else (b, a)
 
 
-def act_on_blocks(
-    blocks: tuple[tuple[int, ...], ...], g: tuple[int, ...]
-) -> tuple[tuple[int, ...], ...]:
-    """Image of a canonical block tuple (``Partition.blocks``), kept canonical."""
-    return tuple(sorted([tuple(sorted([g[x] for x in b])) for b in blocks]))
-
-
 class PermutationGroup:
     """A permutation group on ``{0, ..., degree-1}`` given by generators."""
 

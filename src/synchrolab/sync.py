@@ -64,6 +64,22 @@ def _pair_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     return tables
 
 
+@cache
+def _adjacency_index(n: int) -> np.ndarray:
+    """Pair indices on n points as a read-only (n, 64) int16 table.
+
+    Entry [v, w] is the index of the pair {v, w}; the diagonal and the
+    columns from n on hold count = n(n-1)/2, the single-point index, so a
+    gather through the table fills every 64-bit adjacency row.
+    """
+    count = n * (n - 1) // 2
+    table = np.full((n, 64), count, dtype=np.int16)
+    v, w = np.triu_indices(n, 1)
+    table[v, w] = table[w, v] = np.arange(count)
+    table.flags.writeable = False
+    return table
+
+
 class PairCollapseAutomaton:
     """Backward-reachability structure on unordered point pairs.
 
@@ -123,6 +139,8 @@ class PairCollapseAutomaton:
         into_previous = depth[rows] == pair_depth - 1
         # one byte per pair index, 1 when the pair collapses
         self._collapses = pair_visited.tobytes()
+        # the same flags plus the single-point index count, always set
+        self._visited = visited
         self._letter = into_previous.argmax(axis=0)
         self._rows = rows
 
@@ -171,22 +189,17 @@ class PairCollapseAutomaton:
     def letter_map(self, li: int) -> tuple[int, ...]:
         return self._letter_maps[li]
 
-    def obstruction_edges(self) -> list[tuple[int, int]]:
-        """The pairs v < w that never collapse, in lexicographic order."""
+    def obstruction_rows(self) -> tuple[int, ...]:
+        """Adjacency rows of the obstruction graph, one int per point.
+
+        Bit w of row v is set when the pair {v, w} never collapses; a
+        synchronizing map gets n zero rows at once.
+        """
         n = self.degree
-        collapses = self._collapses
-        edges = []
-        if 0 not in collapses:
-            return edges
-        start = 0
-        for v in range(n - 1):
-            end = start + n - v - 1
-            p = collapses.find(0, start, end)
-            while p != -1:
-                edges.append((v, p - start + v + 1))
-                p = collapses.find(0, p + 1, end)
-            start = end
-        return edges
+        if 0 not in self._collapses:
+            return (0,) * n
+        apart = ~self._visited.take(_adjacency_index(n))
+        return tuple(np.packbits(apart, axis=1, bitorder="little").view("<u8")[:, 0].tolist())
 
 
 @dataclass(frozen=True)
@@ -211,13 +224,12 @@ class SyncVerdict:
 
 def obstruction_graph(group: PermutationGroup, f: Transformation) -> Graph:
     """Graph whose edges are the pairs no word can merge (null iff synchronizing)."""
-    auto = PairCollapseAutomaton(group, f)
-    return Graph.from_edges(group.degree, auto.obstruction_edges())
+    return Graph(group.degree, PairCollapseAutomaton(group, f).obstruction_rows())
 
 
 def synchronizes(group: PermutationGroup, f: Transformation) -> SyncVerdict:
     auto = PairCollapseAutomaton(group, f)
-    graph = Graph.from_edges(group.degree, auto.obstruction_edges())
+    graph = Graph(group.degree, auto.obstruction_rows())
     note = None
     if f.is_permutation():
         note = "map is a permutation; it can only synchronize when the degree is 1"

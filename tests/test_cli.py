@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -167,6 +168,40 @@ class TestWordAndGraph:
         rows = out.strip().splitlines()
         assert len(rows) == 9
         assert sum(row.count("1") for row in rows) == 36
+
+
+def _block_map(n, d):
+    return "[" + ",".join(str(x % d + 1) for x in range(n)) + "]"
+
+
+# SHA-256 of the graph output, recorded before the obstruction rows came
+# from a numpy gather: (gr --adjacency stdout, check --emit-dot file)
+PINNED_GRAPHS = {
+    ("grid-3", "[1,1,1,5,5,5,9,9,9]"): (
+        "cb17ed09f3b86ba5e4dc73ab0f25c6cbf85e94bad46412e4325582ac2f323811",
+        "590f0d8d86506f88c0afc1e1899f224214ab6fa70925999c9da9e747f7038676",
+    ),
+    ("C12", _block_map(12, 4)): (
+        "d3a60107070dd2722d22427c6d8a62c6d0815fcb3d836b171563e2e86d14443b",
+        "854a151c41ac764421e92757a432a81dd299ae94aa0234f0d00b8b343393d157",
+    ),
+    ("C64", _block_map(64, 8)): (
+        "c3c9405432cd6fc16c1cb604b0aed2b4d0260edfb3fd2cf43f163a87d866b5c0",
+        "0cd753c23139c2573743f27d7477c2b1e4ce61df41bf40f141f10970eea26d4c",
+    ),
+}
+
+
+@pytest.mark.parametrize("group,text", sorted(PINNED_GRAPHS), ids=lambda v: v[:6])
+def test_graph_output_pinned(capsys, tmp_path, group, text):
+    adjacency_digest, dot_digest = PINNED_GRAPHS[group, text]
+    code, out, _ = run(capsys, "gr", "--group", group, "--map", text, "--adjacency")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == adjacency_digest
+    dot = tmp_path / "graph.dot"
+    code, _, _ = run(capsys, "check", "--group", group, "--map", text, "--emit-dot", str(dot))
+    assert code == 0
+    assert hashlib.sha256(dot.read_bytes()).hexdigest() == dot_digest
 
 
 class TestVerify:
@@ -434,6 +469,24 @@ class TestBadInput:
     def test_negative_or_nan_budget(self, capsys, flag, value, message):
         err = run_rejected(capsys, "verify", "rystsov", "--max-degree", "4", flag, value)
         assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "--group", "grid-3", "--map", "[1,1,1,5,5,5,9,9,9]", "--emit-dot"],
+            ["gr", "--group", "grid-3", "--map", "[1,1,1,5,5,5,9,9,9]", "--emit-dot"],
+            ["closure", "--group", "S3", "--map", "[1,1,3]", "--out"],
+        ],
+        ids=["check", "gr", "closure"],
+    )
+    @pytest.mark.parametrize(
+        "target,reason",
+        [("missing/out.txt", "No such file or directory"), (".", "Is a directory")],
+    )
+    def test_unwritable_output_path(self, capsys, tmp_path, argv, target, reason):
+        path = str(tmp_path / target)
+        message = run_rejected(capsys, *argv, path)
+        assert message == f"error: {argv[-1]} {path!r}: {reason}\n"
 
     @pytest.mark.parametrize("flag", ["--max-instances", "--budget-seconds"])
     def test_zero_budget_is_inconclusive(self, capsys, flag):

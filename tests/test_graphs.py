@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from synchrolab.graphs import (
     Graph,
+    _transpose,
     complete_multipartite,
     witness_map_for_block,
 )
@@ -100,6 +101,123 @@ class TestBasicPredicates:
             Graph(2, (1, 0))  # asymmetric
         with pytest.raises(ValueError):
             Graph(2, (3, 1))  # loop
+
+
+def reference_row_error(n, rows):
+    """The per-edge row validator the packed check replaced: error text or None."""
+    mask = (1 << n) - 1
+    for v, row in enumerate(rows):
+        if row & ~mask:
+            return f"row {v} mentions vertices beyond {n}"
+        if row >> v & 1:
+            return f"vertex {v} adjacent to itself"
+        w = 0
+        while row >> w:
+            if row >> w & 1 and not rows[w] >> v & 1:
+                return f"asymmetric edge {v},{w}"
+            w += 1
+    return None
+
+
+def row_error(n, rows):
+    try:
+        Graph(n, tuple(rows))
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def naive_transpose(matrix):
+    """Entry v, w (bit 64v + w) moved to w, v, one bit at a time."""
+    out = 0
+    for v in range(64):
+        for w in range(64):
+            if matrix >> (64 * v + w) & 1:
+                out |= 1 << (64 * w + v)
+    return out
+
+
+class TestRowChecksAtWordEdge:
+    """Graph's row checks at 64 vertices, and against the per-edge validator."""
+
+    def test_rows_using_bit_63(self):
+        rows = [1 << 63] * 63 + [(1 << 63) - 1]
+        star = Graph(64, tuple(rows))
+        assert star.degree(63) == 63 and star.edge_count == 63
+        assert Graph.complete(64).edge_count == 64 * 63 // 2
+
+    @pytest.mark.parametrize(
+        "n,cells,message",
+        [
+            (64, [(0, 63)], "asymmetric edge 0,63"),
+            (64, [(63, 0)], "asymmetric edge 63,0"),
+            (64, [(62, 63)], "asymmetric edge 62,63"),
+            (64, [(63, 62)], "asymmetric edge 63,62"),
+            (64, [(63, 63)], "vertex 63 adjacent to itself"),
+            (63, [(0, 63)], "row 0 mentions vertices beyond 63"),
+            (1, [(0, 1)], "row 0 mentions vertices beyond 1"),
+            (1, [(0, 0)], "vertex 0 adjacent to itself"),
+        ],
+    )
+    def test_malformed_rows(self, n, cells, message):
+        rows = [0] * n
+        for v, w in cells:
+            rows[v] |= 1 << w
+        with pytest.raises(ValueError) as exc:
+            Graph(n, tuple(rows))
+        assert str(exc.value) == message == reference_row_error(n, rows)
+
+    def test_negative_row(self):
+        assert row_error(64, [0] * 63 + [-1]) == "row 63 mentions vertices beyond 64"
+
+    def test_null_graph_on_64_vertices(self):
+        g = Graph(64, (0,) * 64)
+        assert g == Graph.null(64) and g.is_null() and g.edge_count == 0
+
+    @pytest.mark.parametrize(
+        "cells,message",
+        [
+            # two one-way edges: the first in row order is named
+            ([(3, 5), (1, 7)], "asymmetric edge 1,7"),
+            ([(1, 9), (1, 7)], "asymmetric edge 1,7"),
+            # a one-way edge in an earlier row than a loop is named first
+            ([(1, 2), (5, 5)], "asymmetric edge 1,2"),
+            ([(0, 0), (2, 3)], "vertex 0 adjacent to itself"),
+            ([(2, 3), (3, 2), (4, 4), (5, 6)], "vertex 4 adjacent to itself"),
+            ([(5, 6), (4, 70)], "row 4 mentions vertices beyond 64"),
+            ([(40, 50), (41, 70)], "asymmetric edge 40,50"),
+        ],
+    )
+    def test_error_names_the_first_offence(self, cells, message):
+        rows = [0] * 64
+        for v, w in cells:
+            rows[v] |= 1 << w
+        assert row_error(64, rows) == message == reference_row_error(64, rows)
+
+    def test_random_rows_match_per_edge_validator(self):
+        rng = random.Random(17)
+        seen = set()
+        for n in range(1, 65):
+            for _ in range(12):
+                rows = list(random_graph(rng, n).rows)
+                # flip a few random cells, some past the last vertex
+                for _ in range(rng.choice([0, 0, 1, 1, 2, 3])):
+                    v, w = rng.randrange(n), rng.randrange(min(n + 2, 66))
+                    rows[v] ^= 1 << w
+                expected = reference_row_error(n, rows)
+                assert row_error(n, rows) == expected, (n, rows)
+                seen.add(expected.split()[0] if expected else None)
+        assert seen == {None, "asymmetric", "vertex", "row"}
+
+    def test_transpose_matches_naive(self):
+        rng = random.Random(5)
+        cases = [0, (1 << 4096) - 1, 1 << 63, 1 << 4095, 1 << (64 * 63)]
+        cases += [rng.getrandbits(4096) for _ in range(20)]
+        cases += [rng.getrandbits(64 * 9) & rng.getrandbits(64 * 9) for _ in range(20)]
+        for matrix in cases:
+            transposed = _transpose(matrix)
+            assert transposed == naive_transpose(matrix)
+            assert _transpose(transposed) == matrix
 
 
 class TestEqualNeighbourhoods:

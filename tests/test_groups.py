@@ -20,13 +20,17 @@ from synchrolab.groups import (
     BlockSystem,
     GroupTooLargeError,
     PermutationGroup,
-    act_on_blocks,
     act_on_pair,
     act_on_set,
     format_group_text,
     parse_group_text,
 )
 from synchrolab.transformations import Transformation, identity, parse_cycles
+
+
+def act_on_blocks(blocks, g):
+    """Image of a canonical block tuple (``Partition.blocks``), kept canonical."""
+    return tuple(sorted([tuple(sorted([g[x] for x in b])) for b in blocks]))
 
 
 def brute_force_elements(group):

@@ -15,7 +15,6 @@ from synchrolab.catalog import (
     projective_linear_group,
     symmetric_group,
 )
-from synchrolab.groups import act_on_blocks
 from synchrolab.semigroups import group_and_map_closure
 from synchrolab.sweeps import (
     MAX_TABLE_PARTITIONS,
@@ -32,7 +31,7 @@ from synchrolab.sweeps import (
 )
 from synchrolab.sync import synchronizes
 from synchrolab.transformations import KernelType, Partition, Transformation
-from test_groups import reference_chain
+from test_groups import act_on_blocks, reference_chain
 
 
 def all_maps_of_type(n, kt):

@@ -14,6 +14,7 @@ from synchrolab.catalog import (
     grid_group,
     symmetric_group,
 )
+from synchrolab.graphs import Graph
 from synchrolab.groups import PermutationGroup
 from synchrolab.semigroups import group_and_map_closure
 from synchrolab.sync import (
@@ -208,6 +209,67 @@ class TestAgainstReferenceAtServedDegrees:
                 if n <= 16:
                     assert verdict.min_rank_bound == graph.chromatic_number()
         assert nonsync >= 100
+
+
+def reference_obstruction_edges(auto):
+    """The pairs v < w that never collapse, walked one byte at a time."""
+    n = auto.degree
+    collapses = auto._collapses
+    edges = []
+    start = 0
+    for v in range(n - 1):
+        end = start + n - v - 1
+        p = collapses.find(0, start, end)
+        while p != -1:
+            edges.append((v, p - start + v + 1))
+            p = collapses.find(0, p + 1, end)
+        start = end
+    return edges
+
+
+def _obstruction_instances():
+    """One seeded random map on every catalog group of degree <= 64, plus
+    every C_n block map x -> x mod d (n composite) and the grid projections."""
+    for entry in build_catalog(64):
+        n = entry.degree
+        rng = random.Random(f"rows:{entry.name}")
+        yield entry, Transformation(tuple(rng.randrange(n) for _ in range(n)))
+        if re.fullmatch(r"C\d+", entry.name):
+            for d in range(2, n):
+                if n % d == 0:
+                    yield entry, Transformation(tuple(x % d for x in range(n)))
+        elif re.fullmatch(r"grid-\d+", entry.name):
+            m = int(entry.name.split("-")[1])
+            yield entry, Transformation(tuple((x // m) * (m + 1) for x in range(n)))
+
+
+class TestObstructionRows:
+    """obstruction_rows against the edge walk it replaced, up to degree 64."""
+
+    def test_rows_match_edge_walk(self):
+        edge_counts = set()
+        for entry, f in _obstruction_instances():
+            n = entry.degree
+            auto = PairCollapseAutomaton(entry.group, f)
+            rows = auto.obstruction_rows()
+            assert type(rows) is tuple and all(type(row) is int for row in rows)
+            edges = reference_obstruction_edges(auto)
+            expected = Graph.from_edges(n, edges)
+            assert rows == expected.rows, (entry.name, f)
+            verdict = synchronizes(entry.group, f)
+            assert verdict.obstruction == expected
+            assert verdict.synchronizes == (not edges)
+            edge_counts.add(len(edges))
+        # C64 with x -> x mod 32: every pair but the 32 pairs {x, x + 32}
+        assert 0 in edge_counts and max(edge_counts) == 64 * 63 // 2 - 32
+
+    def test_synchronizing_map_gives_zero_rows(self):
+        auto = PairCollapseAutomaton(symmetric_group(3), t(1, 1, 3))
+        assert auto.obstruction_rows() == (0, 0, 0)
+
+    def test_one_point(self):
+        auto = PairCollapseAutomaton(trivial_group(1), t(1))
+        assert auto.obstruction_rows() == (0,)
 
 
 class TestSynchronizes:
