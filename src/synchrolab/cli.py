@@ -5,12 +5,13 @@ closure. The environment variable SYNCHROLAB_CAP overrides the default
 closure cap. verify exits 0 on pass, 1 when a counterexample was found and
 2 when the budget ran out (inconclusive). Bad input, whether a malformed
 argument value, an unknown group, a kernel type too large to enumerate
-(scan, verify), an output path that cannot be written (check, gr,
-closure) or a command line argparse rejects, exits 64 (EX_USAGE), a
-status no verify outcome uses; all but the last print one ``error: ...``
-line. When the reader of the output goes away (``| head``), every
-subcommand stops quietly with exit 141, the status of a process ended by
-SIGPIPE.
+(scan, verify), a selection with nothing in it (scan with no group left,
+verify passing with 0 instances), an output path that cannot be written
+(check, gr, closure) or a command line argparse rejects, exits 64
+(EX_USAGE), a status no verify outcome uses; all but the last print one
+``error: ...`` line. When the reader of the output goes away (``| head``),
+every subcommand stops quietly with exit 141, the status of a process
+ended by SIGPIPE.
 """
 from __future__ import annotations
 
@@ -228,6 +229,11 @@ def cmd_verify(args) -> int:
         report = verify_theorem(args.id, max_degree=max_degree, budget=budget, cap=_closure_cap())
     except ValueError as exc:  # a kernel type too large for a partition table
         _usage_error(f"verify {args.id} --max-degree {max_degree}: {exc}")
+    if report.passed and not report.instances_tested:
+        _usage_error(
+            f"verify {args.id} --max-degree {max_degree}: the sweep has no instance "
+            "at these degrees, so a pass would be vacuous"
+        )
     sys.stdout.write(report_emit(report, args.format, include_timings=args.timings))
     return {"pass": 0, "fail": 1, "inconclusive": 2}[report.status]
 

@@ -186,8 +186,7 @@ class Graph:
                 common = self.rows[v] & self.rows[w]
                 if common.bit_count() < r - 1:
                     continue
-                sub = _induced_rows(self.rows, common)
-                mask = _max_clique_mask(sub, self.n, stop_at=r - 1, allowed=common)
+                mask = _max_clique_mask(self.rows, self.n, stop_at=r - 1, allowed=common)
                 if mask.bit_count() >= r - 1:
                     chosen = list(_bits(mask))[: r - 1] if r > 1 else []
                     # Trim to exactly r-1 clique vertices if the search
@@ -271,19 +270,17 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _induced_rows(rows: Sequence[int], allowed: int) -> list[int]:
-    return [row & allowed for row in rows]
-
-
 def _max_clique_mask(
     rows: Sequence[int], n: int, stop_at: int | None = None, allowed: int | None = None
 ) -> int:
     """Bitmask of a maximum clique (or one of size >= stop_at, if given).
 
     Straightforward branch and bound: candidates ordered by degree, greedy
-    colouring of the candidate set as the pruning bound. The search state
-    is passed explicitly, with no nested functions, so a call leaves no
-    reference cycles behind for the garbage collector.
+    colouring of the candidate set as the pruning bound. Every row read is
+    masked by a candidate set inside ``allowed``, so the rows need not be
+    restricted to it. The search state is passed explicitly, with no
+    nested functions, so a call leaves no reference cycles behind for the
+    garbage collector.
     """
     if allowed is None:
         allowed = (1 << n) - 1

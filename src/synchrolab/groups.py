@@ -6,9 +6,14 @@ Schreier-Sims chain with base order 0, 1, 2, ..., so that cached results
 are reproducible across runs. Each (orbit point, strong generator) pair of
 a level is sifted once, and transversal elements, once found, are kept.
 Primitivity closes one block per suborbit: {0, b} for one b per orbit of
-the chain's strong generators fixing 0. Orbits on point sets, pairs and
-partitions all come from one breadth-first walker, PermutationGroup.orbit,
-which also records the generator word reaching each orbit member.
+the chain's strong generators fixing 0. Orbits on point sets come from a
+breadth-first walker, PermutationGroup.orbit, which also records the
+generator word reaching each orbit member.
+
+The pair layer lives here too: pair_tables numbers the pairs {v, w},
+v < w, lexicographically, pair_images moves them under maps, and
+orbit_labels labels the orbits of index maps, for pair_orbit_ids as for
+the kernel orbits of sweeps.kernel_orbit_representatives.
 
 A group is immutable after construction; lazy caches (stabilizer chain,
 pair orbits, block systems, stabilizer element lists) are filled on first
@@ -18,9 +23,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from operator import itemgetter
 from pathlib import Path
+
+import numpy as np
 
 from .transformations import (
     Partition,
@@ -211,6 +218,60 @@ def act_on_pair(pair: tuple[int, int], g: tuple[int, ...]) -> tuple[int, int]:
     return (a, b) if a < b else (b, a)
 
 
+@cache
+def pair_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pair ends and offsets on n points, as read-only int16 arrays.
+
+    Pair {v, w}, v < w, has index p = v*(2n-v-1)//2 + w-v-1, which numbers
+    the pairs in lexicographic order; ends[p] = v and ends[count + p] = w
+    for the count = n(n-1)/2 pairs, and p = offset[v] + w.
+    """
+    v, w = np.triu_indices(n, 1)
+    points = np.arange(n)
+    offset = points * (2 * n - points - 1) // 2 - points - 1
+    tables = (np.concatenate([v, w]).astype(np.int16), offset.astype(np.int16))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def pair_images(maps, n: int) -> np.ndarray:
+    """images[i, p]: the index of the image of pair p under maps[i].
+
+    A map that sends both points of p to one point gets count = n(n-1)/2,
+    an index past every pair.
+    """
+    ends, offset = pair_tables(n)
+    count = len(ends) // 2
+    points = np.array(maps, dtype=np.intp).take(ends, axis=1)
+    a, b = points[:, :count], points[:, count:]
+    images = offset[np.minimum(a, b)] + np.maximum(a, b)
+    images[a == b] = count
+    return images
+
+
+def orbit_labels(moves, count: int) -> np.ndarray:
+    """For every index below count, the least index of its orbit under the index maps.
+
+    Each move is a permutation of range(count) as an index array. Min-label
+    propagation along each move and its inverse, then pointer jumping
+    (label = label[label]); a label only ever names an index of the same
+    orbit and never grows, so when a round changes nothing the label is
+    constant on each orbit and equals its least index.
+    """
+    label = np.arange(count, dtype=np.int32)
+    while True:
+        new = label.copy()
+        for move in moves:
+            np.minimum(new, label[move], out=new)
+            new[move] = np.minimum(new[move], label)
+        while not np.array_equal(jumped := new[new], new):
+            new = jumped
+        if np.array_equal(new, label):
+            return label
+        label = new
+
+
 class PermutationGroup:
     """A permutation group on ``{0, ..., degree-1}`` given by generators."""
 
@@ -289,18 +350,21 @@ class PermutationGroup:
             raise ValueError("minimal_block requires a transitive group")
         if a == b:
             raise ValueError("seed points must differ")
-        uf = self._block_closure_uf([(a, b)])
-        root = uf.find(a)
-        return frozenset(x for x in range(self.degree) if uf.find(x) == root)
+        return self.block_closure([a, b])
 
-    def _block_closure_uf(self, seed_pairs) -> _UnionFind:
-        # Atkinson's method: keep merging images of merged pairs until the
-        # partition is invariant under every generator.
+    def block_closure(self, points) -> frozenset[int]:
+        """Smallest block containing all the given points.
+
+        Atkinson's method: keep merging images of merged pairs until the
+        partition is invariant under every generator.
+        """
+        pts = sorted(set(points))
+        if len(pts) < 2:
+            return frozenset(pts)
         uf = _UnionFind(self.degree)
-        queue = []
-        for a, b in seed_pairs:
-            if uf.union(a, b):
-                queue.append((a, b))
+        queue = [(pts[0], p) for p in pts[1:]]
+        for a, b in queue:
+            uf.union(a, b)
         gens = [g.images for g in self.generators]
         while queue:
             x, y = queue.pop()
@@ -308,14 +372,6 @@ class PermutationGroup:
                 gx, gy = g[x], g[y]
                 if uf.union(gx, gy):
                     queue.append((gx, gy))
-        return uf
-
-    def block_closure(self, points) -> frozenset[int]:
-        """Smallest block containing all the given points."""
-        pts = sorted(set(points))
-        if len(pts) < 2:
-            return frozenset(pts)
-        uf = self._block_closure_uf([(pts[0], p) for p in pts[1:]])
         root = uf.find(pts[0])
         return frozenset(x for x in range(self.degree) if uf.find(x) == root)
 
@@ -405,18 +461,20 @@ class PermutationGroup:
         return self.transitivity_degree() >= 2
 
     @cached_property
-    def _pair_orbit_ids(self) -> tuple[list[int], int]:
-        """Orbit id for each unordered pair {v,w}, indexed by v*n+w (v<w)."""
+    def pair_orbit_ids(self) -> np.ndarray:
+        """Orbit id of every pair, by pair_tables index, as a read-only array.
+
+        Orbits are numbered 0, 1, ... in the order of their least pair,
+        which labels itself. Counting those roots takes no sort: the sort
+        behind np.unique(return_inverse=True) pages about 0.3 MB more numpy
+        code into the resident set on first use.
+        """
         n = self.degree
-        ids = [-1] * (n * n)
-        count = 0
-        for v in range(n):
-            for w in range(v + 1, n):
-                if ids[v * n + w] == -1:
-                    for (a, b), _ in self.orbit((v, w), act_on_pair):
-                        ids[a * n + b] = count
-                    count += 1
-        return ids, count
+        moves = pair_images([g.images for g in self.generators], n)
+        label = orbit_labels(moves, n * (n - 1) // 2)
+        ids = (np.cumsum(label == np.arange(len(label))) - 1)[label]
+        ids.flags.writeable = False
+        return ids
 
     @cached_property
     def _block_systems(self) -> tuple["BlockSystem", ...]:
@@ -426,12 +484,11 @@ class PermutationGroup:
 
     def pair_orbits(self) -> list[list[tuple[int, int]]]:
         """Orbits on unordered point pairs, cells ordered by smallest pair."""
-        n = self.degree
-        ids, count = self._pair_orbit_ids
-        cells: list[list[tuple[int, int]]] = [[] for _ in range(count)]
-        for v in range(n):
-            for w in range(v + 1, n):
-                cells[ids[v * n + w]].append((v, w))
+        ids = self.pair_orbit_ids
+        ends = pair_tables(self.degree)[0].tolist()
+        cells: list[list[tuple[int, int]]] = [[] for _ in range(ids.max(initial=-1) + 1)]
+        for orbit, v, w in zip(ids.tolist(), ends, ends[len(ids) :]):
+            cells[orbit].append((v, w))
         return cells
 
     def stabilizer_order(self, prefix_len: int) -> int:

@@ -17,9 +17,9 @@ from functools import cached_property
 import numpy as np
 
 from .graphs import Graph
-from .groups import GroupTooLargeError, PermutationGroup, act_on_set
+from .groups import GroupTooLargeError, PermutationGroup, act_on_set, pair_tables
 from .sweeps import kernel_types_of_rank, partitions_of_type
-from .sync import InconsistencyError, _pair_tables
+from .sync import InconsistencyError
 from .transformations import KernelType, Partition, Transformation, compose
 
 DEFAULT_CLOSURE_CAP = 1_000_000
@@ -102,7 +102,7 @@ class SemigroupClosure:
         the pairs no element merges are compared on every row.
         """
         self._require_complete()
-        ends = _pair_tables(self.degree)[0]
+        ends = pair_tables(self.degree)[0]
         count = len(ends) // 2
         v, w = ends[:count], ends[count:]
         merged = np.zeros(count, dtype=bool)
@@ -384,20 +384,12 @@ def coblock_graph(group: PermutationGroup, blocks: Partition) -> Graph:
     """
     if blocks.degree != group.degree:
         raise ValueError("degree mismatch")
-    n = group.degree
-    ids, count = group._pair_orbit_ids
-    wanted = [False] * count
-    for block in blocks.blocks:
-        for i, v in enumerate(block):
-            for w in block[i + 1 :]:
-                wanted[ids[v * n + w]] = True
-    edges = [
-        (v, w)
-        for v in range(n)
-        for w in range(v + 1, n)
-        if wanted[ids[v * n + w]]
-    ]
-    return Graph.from_edges(n, edges)
+    ids = group.pair_orbit_ids
+    ends = pair_tables(group.degree)[0]
+    v, w = ends[: len(ids)], ends[len(ids) :]
+    block = np.array(blocks.block_index)
+    edge = np.isin(ids, ids[block[v] == block[w]])
+    return Graph.from_edges(group.degree, zip(v[edge].tolist(), w[edge].tolist()))
 
 
 def is_group_section(

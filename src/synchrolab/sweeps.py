@@ -23,8 +23,8 @@ kernel type. Both reductions are used:
   byte key per row (each point replaced by the least point of its block)
   and the rows in the tuple order of Partition.blocks. Per group, each
   generator moves every row at once and searchsorted turns the moved keys
-  into an index map; min-label propagation with pointer jumping over those
-  maps gives each row the least enumeration index of its orbit. The kept
+  into an index map; groups.orbit_labels, the pair layer's orbit
+  labeller, gives each row the least enumeration index of its orbit. The kept
   representative of an orbit is its tuple-least row, and Partition objects
   are built only for those;
 - assignment_representatives normalises the first t coordinates of the
@@ -51,7 +51,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .groups import PermutationGroup
+from .groups import PermutationGroup, orbit_labels
 from .transformations import KernelType, Partition, Transformation
 
 STABILIZER_ENUMERATION_CAP = 20_000
@@ -198,27 +198,6 @@ def partitions_of_type(kt: KernelType) -> Iterator[Partition]:
         yield _partition(kt.degree, labels.tolist(), kt.rank)
 
 
-def _orbit_labels(moves: list[np.ndarray], count: int) -> np.ndarray:
-    """For every row, the least row index of its orbit under the index maps.
-
-    Min-label propagation along each map and its inverse, then pointer
-    jumping (label = label[label]); a label only ever names a row of the
-    same orbit and never grows, so when a round changes nothing the label
-    is constant on each orbit and equals its least index.
-    """
-    label = np.arange(count, dtype=np.int32)
-    while True:
-        new = label.copy()
-        for move in moves:
-            np.minimum(new, label[move], out=new)
-            new[move] = np.minimum(new[move], label)
-        while not np.array_equal(jumped := new[new], new):
-            new = jumped
-        if np.array_equal(new, label):
-            return label
-        label = new
-
-
 def kernel_orbit_representatives(
     group: PermutationGroup, kt: KernelType
 ) -> list[Partition]:
@@ -232,7 +211,7 @@ def kernel_orbit_representatives(
         raise ValueError("kernel type degree mismatch")
     table = partition_table(kt)
     moves = [table.find(table.rows[:, g.images], kt.rank) for g in group.generators]
-    label = _orbit_labels(moves, len(table.rows))
+    label = orbit_labels(moves, len(table.rows))
     # np.unique lists each orbit by its least index, with the position of its
     # first row in tuple order
     _, first = np.unique(label[table.tuple_order], return_index=True)

@@ -17,8 +17,8 @@ this certificate in O(n^2) on every call; min_rank_via_graph keeps the
 exact clique and chromatic searches as an independent route. A failed
 check raises InconsistencyError because it can only mean a bug.
 
-Pairs {v, w} with v < w are numbered v*(2n-v-1)//2 + w-v-1, in
-lexicographic order; the public ``collapsible`` set keeps flat keys v*n + w.
+Pairs are numbered by groups.pair_tables and moved by groups.pair_images;
+the public ``collapsible`` set keeps flat keys v*n + w.
 """
 from __future__ import annotations
 
@@ -29,8 +29,8 @@ from operator import itemgetter
 import numpy as np
 
 from .graphs import Graph
-from .groups import PermutationGroup
-from .transformations import Transformation, identity
+from .groups import PermutationGroup, pair_images, pair_tables
+from .transformations import Transformation
 
 
 class InconsistencyError(Exception):
@@ -45,23 +45,6 @@ def _letters(group: PermutationGroup, f: Transformation):
     names = [f"g{i + 1}" for i in range(len(group.generators))] + ["f"]
     maps = [g.images for g in group.generators] + [f.images]
     return names, maps
-
-
-@cache
-def _pair_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pair ends and offsets on n points, as read-only int16 arrays.
-
-    Pair {v, w}, v < w, has index p = v*(2n-v-1)//2 + w-v-1, which numbers
-    the pairs in lexicographic order; ends[p] = v and ends[count + p] = w
-    for the count = n(n-1)/2 pairs, and p = offset[v] + w.
-    """
-    v, w = np.triu_indices(n, 1)
-    points = np.arange(n)
-    offset = points * (2 * n - points - 1) // 2 - points - 1
-    tables = (np.concatenate([v, w]).astype(np.int16), offset.astype(np.int16))
-    for table in tables:
-        table.flags.writeable = False
-    return tables
 
 
 @cache
@@ -100,14 +83,10 @@ class PairCollapseAutomaton:
         self._build()
 
     def _build(self):
-        ends, offset = _pair_tables(self.degree)
-        count = len(ends) // 2
-        images = np.array(self._letter_maps, dtype=np.intp).take(ends, axis=1)
-        a, b = images[:, :count], images[:, count:]
         # rows[letter, p] = the pair index the letter sends pair p to; count
         # (an index past every pair) stands for a single point
-        rows = offset[np.minimum(a, b)] + np.maximum(a, b)
-        rows[a == b] = count
+        rows = pair_images(self._letter_maps, self.degree)
+        count = rows.shape[1]
         # Every array below keeps one size per degree and letter count:
         # numpy keeps freed small buffers for reuse by size, so arrays that
         # shrink level by level would leave a buffer of every size behind.
@@ -144,15 +123,11 @@ class PairCollapseAutomaton:
         self._letter = into_previous.argmax(axis=0)
         self._rows = rows
 
-    def _index(self, v: int, w: int) -> int:
-        n = self.degree
-        return v * (2 * n - v - 1) // 2 + w - v - 1
-
     @cached_property
     def collapsible(self) -> frozenset[int]:
         """The collapsible pairs {v, w}, v < w, as flat keys v*n + w."""
         n = self.degree
-        ends = _pair_tables(n)[0].astype(np.intp)
+        ends = pair_tables(n)[0].astype(np.intp)
         count = len(ends) // 2
         keys = ends[:count] * n + ends[count:]
         return frozenset(keys[np.frombuffer(self._collapses, dtype=bool)].tolist())
@@ -162,7 +137,7 @@ class PairCollapseAutomaton:
         n = self.degree
         collapses = self._collapses
         for i, v in enumerate(points):
-            base = v * (2 * n - v - 1) // 2 - v - 1
+            base = v * (2 * n - v - 1) // 2 - v - 1  # pair_tables offset of v
             for w in points[i + 1:]:
                 if collapses[base + w]:
                     return v, w
@@ -174,7 +149,7 @@ class PairCollapseAutomaton:
             return []
         if v > w:
             v, w = w, v
-        p = self._index(v, w)
+        p = int(pair_tables(self.degree)[1][v]) + w
         if not self._collapses[p]:
             raise NotSynchronizingError(f"pair ({v + 1},{w + 1}) never collapses")
         count = len(self._collapses)
@@ -233,63 +208,55 @@ def synchronizes(group: PermutationGroup, f: Transformation) -> SyncVerdict:
     note = None
     if f.is_permutation():
         note = "map is a permutation; it can only synchronize when the degree is 1"
-    letters, image = _greedy_collapse(auto)
-    word = tuple([auto.letter_names[li] for li in letters])
-    composed = word_transformation(group, f, word) if word else identity(group.degree)
-    _certify_min_rank(graph, image, composed)
+    letters, composed = _greedy_collapse(auto)
+    _certify_min_rank(graph, composed)
     sync = graph.is_null()
     return SyncVerdict(
         synchronizes=sync,
-        witness_word=word if sync else None,
+        witness_word=tuple([auto.letter_names[li] for li in letters]) if sync else None,
         obstruction=graph,
-        min_rank_bound=len(image),
+        min_rank_bound=composed.rank(),
         note=note,
     )
 
 
-def _greedy_collapse(auto: PairCollapseAutomaton) -> tuple[list[int], list[int]]:
+def _greedy_collapse(auto: PairCollapseAutomaton) -> tuple[list[int], Transformation]:
     """Collapse the lexicographically least collapsible pair of the image, to the end.
 
-    Returns the letters of the word and the sorted image it reaches, where
-    no pair collapses any more. Each round strictly shrinks the image, so
-    at most degree-1 rounds run; word length is reported against the
-    (n-1)^2 Cerny benchmark elsewhere, greedy words carry no optimality
-    promise. On one point the word is the map alone.
+    Returns the letters of the word and the map they compose to, whose
+    image is where no pair collapses any more. Each round strictly shrinks
+    the image, so at most degree-1 rounds run; word length is reported
+    against the (n-1)^2 Cerny benchmark elsewhere, greedy words carry no
+    optimality promise. On one point the word is the map alone.
     """
     n = auto.degree
     if n == 1:
-        return [len(auto.letter_names) - 1], [0]
-    image = list(range(n))
+        last = len(auto.letter_names) - 1
+        return [last], Transformation(auto.letter_map(last))
+    composed = tuple(range(n))
     word: list[int] = []
-    while (pair := auto.least_collapsible_pair(image)) is not None:
-        points = image
+    while (pair := auto.least_collapsible_pair(sorted(set(composed)))) is not None:
         for li in auto.collapse_word(*pair):
-            # the pair stays apart until the last letter, so points has at
-            # least two members and itemgetter returns a tuple
-            points = itemgetter(*points)(auto.letter_map(li))
+            composed = itemgetter(*composed)(auto.letter_map(li))
             word.append(li)
-        image = sorted(set(points))
-    return word, image
+    return word, Transformation(composed)
 
 
-def _certify_min_rank(graph: Graph, image: list[int], composed: Transformation):
+def _certify_min_rank(graph: Graph, composed: Transformation):
     """Check that the greedy word proves min rank = clique = chromatic = |image|.
 
     Every semigroup element is an endomorphism of the obstruction graph, so
     it is injective on cliques and the minimum rank is at least the clique
-    number. If the image where the greedy stops is a clique, and the word,
-    of rank |image|, sends no edge to a single point (a proper colouring
-    with |image| colours), then clique number = chromatic number = minimum
-    rank = |image|. On a synchronizing map this says the word is constant.
+    number. If the image of the composed greedy word is a clique, and the
+    word sends no edge to a single point (a proper colouring with |image|
+    colours), then clique number = chromatic number = minimum rank =
+    |image|. On a synchronizing map this says the word is constant.
     """
     rows = graph.rows
+    image = composed.image()
     clique = sum(1 << v for v in image)
     if any((rows[v] | 1 << v) & clique != clique for v in image):
         raise InconsistencyError("the greedy collapse stopped at an image that is not a clique")
-    if composed.rank() != len(image):
-        raise InconsistencyError(
-            f"greedy word has rank {composed.rank()}, not {len(image)}"
-        )
     colour_classes: dict[int, int] = {}
     for x, y in enumerate(composed.images):
         colour_classes[y] = colour_classes.get(y, 0) | 1 << x
@@ -396,19 +363,19 @@ class OrbitCollapseSolver:
 
     def __init__(self, group: PermutationGroup):
         n = group.degree
-        ids, count = group._pair_orbit_ids
+        ids = group.pair_orbit_ids
+        count = int(ids.max(initial=-1)) + 1
         if count > 63:
             raise ValueError(
                 f"the orbit solver takes at most 63 pair orbits; the group has {count}"
             )
         self.n = n
         self.orbit_count = count
-        ends = _pair_tables(n)[0].astype(np.intp)
-        pairs = len(ends) // 2
+        ends = pair_tables(n)[0].astype(np.intp)
+        pairs = len(ids)
         v, w = ends[:pairs], ends[pairs:]
-        orbit = np.array(ids, dtype=np.intp)[v * n + w]
-        order = np.argsort(orbit, kind="stable")
-        orbit = orbit[order]
+        order = np.argsort(ids, kind="stable")
+        orbit = ids[order]
         first, second = v[order], w[order]
         self._first, self._second = first, second
         self._starts = np.searchsorted(orbit, np.arange(count))

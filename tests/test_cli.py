@@ -488,6 +488,16 @@ class TestBadInput:
         message = run_rejected(capsys, *argv, path)
         assert message == f"error: {argv[-1]} {path!r}: {reason}\n"
 
+    @pytest.mark.parametrize(
+        "theorem,degree", [("rystsov", "2"), ("rank-n-2", "3"), ("idempotent-32", "4")]
+    )
+    def test_verify_with_no_instance_is_not_a_pass(self, capsys, theorem, degree):
+        message = run_rejected(capsys, "verify", theorem, "--max-degree", degree)
+        assert message == (
+            f"error: verify {theorem} --max-degree {degree}: the sweep has no "
+            "instance at these degrees, so a pass would be vacuous\n"
+        )
+
     @pytest.mark.parametrize("flag", ["--max-instances", "--budget-seconds"])
     def test_zero_budget_is_inconclusive(self, capsys, flag):
         code, out, _ = run(capsys, "verify", "rystsov", "--max-degree", "4", flag, "0")

@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from synchrolab.catalog import (
@@ -23,6 +24,9 @@ from synchrolab.groups import (
     act_on_pair,
     act_on_set,
     format_group_text,
+    orbit_labels,
+    pair_images,
+    pair_tables,
     parse_group_text,
 )
 from synchrolab.transformations import Transformation, identity, parse_cycles
@@ -332,7 +336,79 @@ class TestElements:
         assert first == second
 
 
+def reference_pair_orbit_ids(group):
+    """The breadth-first pair orbits that the numpy orbit labelling replaced.
+
+    Returns the orbit ids as a list of n*n entries keyed v*n + w for v < w,
+    -1 elsewhere, and the orbit count; orbits are numbered in the order of
+    their least pair.
+    """
+    n = group.degree
+    ids = [-1] * (n * n)
+    count = 0
+    for v in range(n):
+        for w in range(v + 1, n):
+            if ids[v * n + w] == -1:
+                for (a, b), _ in group.orbit((v, w), act_on_pair):
+                    ids[a * n + b] = count
+                count += 1
+    return ids, count
+
+
+def reference_pair_orbits(group):
+    """Cells of reference_pair_orbit_ids, each in lexicographic pair order."""
+    n = group.degree
+    ids, count = reference_pair_orbit_ids(group)
+    cells = [[] for _ in range(count)]
+    for v in range(n):
+        for w in range(v + 1, n):
+            cells[ids[v * n + w]].append((v, w))
+    return cells
+
+
+PAIR_ORBIT_CASES = (
+    [(e.name, e.group) for e in build_catalog(64)]
+    + [("trivial-1", PermutationGroup([], 1))]
+    + list(HAND_BUILT.items())
+)
+
+
 class TestPairOrbits:
+    @pytest.mark.parametrize(
+        "name,group", PAIR_ORBIT_CASES, ids=[c[0] for c in PAIR_ORBIT_CASES]
+    )
+    def test_matches_reference_bfs(self, name, group):
+        n = group.degree
+        ids, count = reference_pair_orbit_ids(group)
+        # combinations run in lexicographic order, the order of the pair indices
+        pairs = itertools.combinations(range(n), 2)
+        assert group.pair_orbit_ids.tolist() == [ids[v * n + w] for v, w in pairs]
+        cells = group.pair_orbits()
+        assert len(cells) == count
+        assert cells == reference_pair_orbits(group)
+
+    def test_pair_images_follow_act_on_pair(self):
+        n = 6
+        pairs = list(itertools.combinations(range(n), 2))
+        ends, offset = pair_tables(n)
+        assert list(zip(ends[: len(pairs)], ends[len(pairs) :])) == pairs
+        assert [offset[v] + w for v, w in pairs] == list(range(len(pairs)))
+        rng = random.Random("pair-images")
+        maps = [tuple(rng.randrange(n) for _ in range(n)) for _ in range(20)]
+        images = pair_images(maps, n)
+        for m, row in zip(maps, images.tolist()):
+            for p, (v, w) in enumerate(pairs):
+                moved = act_on_pair((v, w), m)
+                expected = len(pairs) if moved[0] == moved[1] else pairs.index(moved)
+                assert row[p] == expected
+
+    def test_orbit_labels_name_the_least_index(self):
+        # two index maps on 7 indices: the cycle (0 3 5) and the swap (1 6)
+        cycle = np.array([3, 1, 2, 5, 4, 0, 6])
+        swap = np.array([0, 6, 2, 3, 4, 5, 1])
+        assert orbit_labels([cycle, swap], 7).tolist() == [0, 1, 2, 0, 4, 0, 1]
+        assert orbit_labels([], 3).tolist() == [0, 1, 2]
+
     def test_s4_single(self):
         g = symmetric_group(4)
         assert g.is_2_transitive()

@@ -13,6 +13,7 @@ from synchrolab.catalog import (
     grid_group,
     symmetric_group,
 )
+from synchrolab.graphs import Graph
 from synchrolab.groups import GroupTooLargeError, PermutationGroup
 from synchrolab.semigroups import (
     DEFAULT_CLOSURE_CAP,
@@ -40,6 +41,7 @@ from synchrolab.transformations import (
     identity,
     parse_cycles,
 )
+from test_groups import reference_pair_orbit_ids
 
 
 def t(*images_1based):
@@ -380,7 +382,39 @@ class TestIdempotentSameKernel:
             done += 1
 
 
+def reference_coblock_graph(group, blocks):
+    """The pair loops that coblock_graph replaced, over reference_pair_orbit_ids."""
+    n = group.degree
+    ids, count = reference_pair_orbit_ids(group)
+    wanted = [False] * count
+    for block in blocks.blocks:
+        for i, v in enumerate(block):
+            for w in block[i + 1 :]:
+                wanted[ids[v * n + w]] = True
+    edges = [
+        (v, w)
+        for v in range(n)
+        for w in range(v + 1, n)
+        if wanted[ids[v * n + w]]
+    ]
+    return Graph.from_edges(n, edges)
+
+
+COBLOCK_CASES = [(e.name, e.group) for e in build_catalog(10)]
+
+
 class TestCoblockGraph:
+    @pytest.mark.parametrize("name,group", COBLOCK_CASES, ids=[c[0] for c in COBLOCK_CASES])
+    def test_matches_reference_loops(self, name, group):
+        n = group.degree
+        rng = random.Random(f"coblock:{name}")
+        for _ in range(10):
+            labels = [rng.randrange(rng.randint(1, n)) for _ in range(n)]
+            blocks = Partition.from_blocks(
+                n, [[x for x in range(n) if labels[x] == b] for b in set(labels)]
+            )
+            assert coblock_graph(group, blocks) == reference_coblock_graph(group, blocks)
+
     def test_singletons_null(self):
         g = coblock_graph(GRID, Partition.singletons(9))
         assert g.is_null()
