@@ -8,10 +8,17 @@ group PGL(2, q) on the projective line over a field constructed by search.
 Each entry declares the transitivity, primitivity and order it is supposed
 to have; ``verify_entry`` recomputes all three with the group engine and
 any mismatch is an error, so the catalog doubles as a self-check.
+
+Entries are built once per process, a degree at a time on first use, and
+shared: ``build_catalog`` and ``find_entry`` hand every caller the same
+``CatalogEntry`` and ``PermutationGroup`` objects, so a group's lazy
+caches (stabilizer chain, pair orbits, block systems) are filled once and
+serve every later sweep, lookup and test.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import factorial, isqrt
 
 from .groups import PermutationGroup
@@ -278,8 +285,12 @@ def _is_prime(n: int) -> bool:
     return n >= 2 and all(n % d for d in range(2, n))
 
 
-def _entries_of_degree(n: int) -> list[CatalogEntry]:
-    """The catalog entries of degree n (3 <= n <= 64), sorted by name."""
+@cache
+def _entries_of_degree(n: int) -> tuple[CatalogEntry, ...]:
+    """The catalog entries of degree n (3 <= n <= 64), sorted by name.
+
+    Memoised: one tuple of entries per degree for the whole process.
+    """
     entries = [
         CatalogEntry(
             f"S{n}",
@@ -362,11 +373,15 @@ def _entries_of_degree(n: int) -> list[CatalogEntry]:
             )
         )
     entries.sort(key=lambda e: e.name)
-    return entries
+    return tuple(entries)
 
 
 def build_catalog(max_degree: int = 12) -> list[CatalogEntry]:
-    """All catalog entries of degree between 3 and max_degree."""
+    """All catalog entries of degree between 3 and max_degree.
+
+    The list is new on every call, but its entries are the process-wide
+    shared ones: two calls return the same entry and group objects.
+    """
     if max_degree > 64:
         raise ValueError("catalog degrees stop at 64")
     return [e for n in range(3, max_degree + 1) for e in _entries_of_degree(n)]
@@ -388,7 +403,10 @@ def verify_entry(entry: CatalogEntry) -> None:
 
 
 def find_entry(name: str) -> CatalogEntry:
-    """The entry of that name, building the catalog only up to its degree."""
+    """The entry of that name, building the catalog only up to its degree.
+
+    The entry is the shared one that ``build_catalog`` also returns.
+    """
     for n in range(3, 65):
         for entry in _entries_of_degree(n):
             if entry.name == name:

@@ -33,7 +33,7 @@ from itertools import groupby, permutations
 
 import numpy as np
 
-from .catalog import CatalogEntry, build_catalog, verify_entry
+from .catalog import CatalogEntry, build_catalog, find_entry, verify_entry
 from .groups import PermutationGroup
 from .graphs import complete_multipartite, witness_map_for_block
 from .semigroups import (
@@ -234,6 +234,8 @@ class _Sweeper:
 
 
 def _entries(max_degree: int, min_degree: int = 3) -> list[CatalogEntry]:
+    """The shared catalog entries of these degrees, verified again on every
+    call: the catalog's self-check, cheap once a group's caches are warm."""
     entries = [e for e in build_catalog(max_degree) if e.degree >= min_degree]
     for e in entries:
         verify_entry(e)
@@ -381,7 +383,8 @@ def grid_projection(m: int = 3) -> Transformation:
 
 def _sweep_grid_counterexample(sw: _Sweeper, max_degree: int):
     """The 3x3 grid group fails on the row-kernel diagonal projection."""
-    entry = next(e for e in _entries(max(9, max_degree)) if e.name == "grid-3")
+    entry = find_entry("grid-3")
+    verify_entry(entry)
     f = grid_projection(3)
     sw.tick()
     verdict = synchronizes(entry.group, f)

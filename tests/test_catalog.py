@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from synchrolab import catalog
 from synchrolab.catalog import (
     GaloisField,
     build_catalog,
@@ -10,6 +11,8 @@ from synchrolab.catalog import (
     projective_linear_group,
     verify_entry,
 )
+from synchrolab.experiments import verify_theorem
+from synchrolab.reports import report_emit
 
 
 class TestGaloisField:
@@ -94,9 +97,14 @@ class TestCatalog:
             find_entry("nonsense")
 
     def test_deterministic(self):
-        a = [(e.name, [g.images for g in e.group.generators]) for e in build_catalog(10)]
-        b = [(e.name, [g.images for g in e.group.generators]) for e in build_catalog(10)]
-        assert a == b
+        """The shared entries match a fresh construction, degree by degree."""
+
+        def shape(entries):
+            return [(e.name, [g.images for g in e.group.generators]) for e in entries]
+
+        for n in range(3, 11):
+            fresh = catalog._entries_of_degree.__wrapped__(n)
+            assert shape(e for e in build_catalog(10) if e.degree == n) == shape(fresh)
 
     def test_grid_orders(self):
         for m in (2, 3):
@@ -121,3 +129,34 @@ class TestCatalog:
             cells = entry.group.pair_orbits()
             pairs = [p for c in cells for p in c]
             assert len(pairs) == len(set(pairs)) == n * (n - 1) // 2
+
+
+class TestSharedEntries:
+    """Entries are built once per process and shared by every caller."""
+
+    def test_build_catalog_shares_entries(self):
+        first, second = build_catalog(10), build_catalog(10)
+        assert first is not second
+        assert all(a is b for a, b in zip(first, second, strict=True))
+
+    def test_find_entry_is_the_catalog_entry(self):
+        (grid,) = [e for e in build_catalog(9) if e.name == "grid-3"]
+        assert find_entry("grid-3") is grid
+
+    @pytest.mark.parametrize(
+        "other,theorem_id",
+        [("small-ranks", "imprimitivity-char"), ("imprimitivity-char", "small-ranks")],
+    )
+    def test_report_bytes_cold_and_warm(self, other, theorem_id):
+        """Group caches filled by another sweep, or by the same one, leave a
+        report's bytes as they are on fresh groups."""
+
+        def report_bytes(sweep_id):
+            return report_emit(verify_theorem(sweep_id, max_degree=7), "jsonl")
+
+        catalog._entries_of_degree.cache_clear()
+        cold = report_bytes(theorem_id)
+        catalog._entries_of_degree.cache_clear()
+        report_bytes(other)
+        assert report_bytes(theorem_id) == cold
+        assert report_bytes(theorem_id) == cold

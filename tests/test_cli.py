@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -550,6 +551,13 @@ def test_closed_pipe_ends_quietly():
     assert code == 141
 
 
+def run_script(argv):
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
+        capture_output=True, env=ENV, timeout=120,
+    )
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -562,9 +570,59 @@ def test_closed_pipe_ends_quietly():
 )
 def test_script_runs(argv):
     """The scripts under scripts/ still run against the library as it is now."""
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
-        capture_output=True, env=ENV, timeout=120,
-    )
+    proc = run_script(argv)
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout
+
+
+SCRIPT_REFUSALS = [
+    (["verify_all.py", "--max-degree", "70"], "--max-degree 70: catalog degrees stop at 64"),
+    (["verify_all.py", "--rystsov-degree", "65"], "--rystsov-degree 65: catalog degrees stop at 64"),
+    (
+        ["verify_all.py", "--max-degree", "2", "--rystsov-degree", "2"],
+        "idempotent-32 at degree <= 2: the sweep has no instance, so a pass would be vacuous",
+    ),
+    (["verify_all.py", "--budget-seconds", "-1"], "--budget-seconds -1.0: a budget is at least 0 seconds"),
+    (["depth_survey.py", "--max-degree", "70"], "--max-degree 70: the section search stops at degree 12"),
+    (["depth_survey.py", "--max-degree", "13"], "--max-degree 13: the section search stops at degree 12"),
+    (
+        ["depth_survey.py", "--max-degree", "11", "--allow-nonuniform"],
+        "--max-degree 11: the section search stops at degree 10",
+    ),
+    (["depth_survey.py", "--max-degree", "2"], "--max-degree 2: the catalog starts at degree 3"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,message", SCRIPT_REFUSALS, ids=[" ".join(argv) for argv, _ in SCRIPT_REFUSALS]
+)
+def test_script_refuses_bad_input(argv, message):
+    """The scripts refuse bad input as the CLI does: one error line, exit 64."""
+    proc = run_script(argv)
+    assert proc.returncode == 64
+    assert proc.stderr.decode() == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("script", ["verify_all.py", "depth_survey.py"])
+def test_script_command_line_errors_exit_64(script):
+    """Not argparse's 2, which verify_all.py uses for an inconclusive run."""
+    proc = run_script([script, "--max-degree", "ten"])
+    assert proc.returncode == 64
+    assert proc.stderr.decode().startswith(f"usage: {script}")
+
+
+def test_verify_all_refuses_kernel_type_too_large(capsys, monkeypatch):
+    """A kernel type too large for a partition table is bad input, not a counterexample."""
+    spec = importlib.util.spec_from_file_location("verify_all", ROOT / "scripts" / "verify_all.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(sweeps, "MAX_TABLE_PARTITIONS", 100)
+    sweeps.partition_table.cache_clear()  # tables built under the real limit
+    monkeypatch.setattr(sys, "argv", ["verify_all.py", "--max-degree", "7", "--rystsov-degree", "7"])
+    with pytest.raises(SystemExit) as exit_info:
+        script.main()
+    assert exit_info.value.code == 64
+    assert capsys.readouterr().err == (
+        "error: idempotent-32 at degree <= 7: kernel type (3,2,1,1) has 210 "
+        "partitions, more than the 100 a partition table holds\n"
+    )
