@@ -4,49 +4,28 @@
 For every transitive catalog group up to the chosen degree, list the
 nontrivial partition sizes that admit a section stable under the whole
 group, and the resulting depth (gap between the two smallest sizes).
-Bad input exits 64 with one ``error: ...`` line, as the synchrolab CLI
-does: a degree with no catalog group, or one beyond the section search.
+Bad input exits 64 with one ``error: ...`` line through the synchrolab
+CLI's checks: a degree with no catalog group, or one beyond the section
+search.
 """
-import argparse
-import sys
-from typing import NoReturn
-
-from synchrolab.catalog import build_catalog
+from synchrolab.cli import UsageParser, catalog_up_to, usage_error
 from synchrolab.semigroups import (
     MAX_EXHAUSTIVE_DEGREE,
     MAX_NONUNIFORM_DEGREE,
     regular_partition_witnesses,
 )
 
-EX_USAGE = 64
-
-
-def refuse(message: str) -> NoReturn:
-    print(f"error: {message}", file=sys.stderr)
-    raise SystemExit(EX_USAGE)
-
-
-class Parser(argparse.ArgumentParser):
-    """Command-line errors exit EX_USAGE, as every other bad input does."""
-
-    def error(self, message: str) -> NoReturn:
-        self.print_usage(sys.stderr)
-        self.exit(EX_USAGE, f"{self.prog}: error: {message}\n")
-
 
 def main():
-    parser = Parser(description=__doc__)
+    parser = UsageParser(description=__doc__)
     parser.add_argument("--max-degree", type=int, default=9)
     parser.add_argument("--allow-nonuniform", action="store_true")
     args = parser.parse_args()
     limit = MAX_NONUNIFORM_DEGREE if args.allow_nonuniform else MAX_EXHAUSTIVE_DEGREE
     if args.max_degree > limit:
-        refuse(f"--max-degree {args.max_degree}: the section search stops at degree {limit}")
-    entries = build_catalog(args.max_degree)
-    if not entries:
-        refuse(f"--max-degree {args.max_degree}: the catalog starts at degree 3")
+        usage_error(f"--max-degree {args.max_degree}: the section search stops at degree {limit}")
 
-    for entry in entries:
+    for entry in catalog_up_to(args.max_degree):
         witnesses = regular_partition_witnesses(
             entry.group, allow_nonuniform=args.allow_nonuniform
         )

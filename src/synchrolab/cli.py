@@ -6,12 +6,14 @@ closure cap. verify exits 0 on pass, 1 when a counterexample was found and
 2 when the budget ran out (inconclusive). Bad input, whether a malformed
 argument value, an unknown group, a kernel type too large to enumerate
 (scan, verify), a selection with nothing in it (scan with no group left,
-verify passing with 0 instances), an output path that cannot be written
-(check, gr, closure) or a command line argparse rejects, exits 64
-(EX_USAGE), a status no verify outcome uses; all but the last print one
-``error: ...`` line. When the reader of the output goes away (``| head``),
-every subcommand stops quietly with exit 141, the status of a process
-ended by SIGPIPE.
+catalog list below degree 3, verify passing with 0 instances), an output
+path that cannot be written (check, gr, closure) or a command line argparse
+rejects, exits 64 (EX_USAGE), a status no verify outcome uses; all but the
+last print one ``error: ...`` line. The scripts under scripts/ refuse bad
+input through the same public helpers (usage_error, UsageParser,
+check_max_degree, catalog_up_to, check_budget). When the reader of the
+output goes away (``| head``), every subcommand stops quietly with exit
+141, the status of a process ended by SIGPIPE.
 """
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ import sys
 from pathlib import Path
 from typing import NoReturn
 
-from .catalog import build_catalog, find_entry
+from .catalog import CatalogEntry, build_catalog, find_entry
 from .experiments import THEOREMS, Budget, InstanceRecord, verify_theorem
 from .groups import PermutationGroup, load_group_file
 from .reports import instance_record_json, report_emit
@@ -44,18 +46,42 @@ from .transformations import (
 EX_USAGE = 64
 
 
-def _usage_error(message: str) -> NoReturn:
+def usage_error(message: str) -> NoReturn:
     """One ``error: ...`` line on stderr, then exit EX_USAGE."""
     print(f"error: {message}", file=sys.stderr)
     raise SystemExit(EX_USAGE)
 
 
-class _Parser(argparse.ArgumentParser):
+class UsageParser(argparse.ArgumentParser):
     """An argparse parser whose command-line errors exit EX_USAGE, not 2."""
 
     def error(self, message: str) -> NoReturn:
         self.print_usage(sys.stderr)
         self.exit(EX_USAGE, f"{self.prog}: error: {message}\n")
+
+
+def check_max_degree(value: int, flag: str = "--max-degree") -> int:
+    """A degree bound given by flag, or one error line when the catalog cannot reach it."""
+    if value > MAX_DEGREE:
+        usage_error(f"{flag} {value}: catalog degrees stop at {MAX_DEGREE}")
+    return value
+
+
+def catalog_up_to(max_degree: int) -> list[CatalogEntry]:
+    """The catalog to --max-degree, or one error line when that selects no group."""
+    entries = build_catalog(check_max_degree(max_degree))
+    if not entries:
+        usage_error(f"--max-degree {max_degree}: the catalog starts at degree 3")
+    return entries
+
+
+def check_budget(seconds: float, max_instances: int | None = None) -> Budget:
+    """The sweep budget of --budget-seconds and --max-instances, or one error line."""
+    if not seconds >= 0:  # also false for nan
+        usage_error(f"--budget-seconds {seconds}: a budget is at least 0 seconds")
+    if max_instances is not None and max_instances < 0:
+        usage_error(f"--max-instances {max_instances}: a budget is at least 0 instances")
+    return Budget(seconds=seconds, max_instances=max_instances)
 
 
 def _closure_cap(flag: str | None = None) -> int:
@@ -70,7 +96,7 @@ def _closure_cap(flag: str | None = None) -> int:
     except ValueError:
         cap = 0
     if cap < 1:
-        _usage_error(f"{source} must be a positive integer, got {value!r}")
+        usage_error(f"{source} must be a positive integer, got {value!r}")
     return cap
 
 
@@ -81,19 +107,12 @@ def _load_group(spec: str) -> tuple[str, PermutationGroup]:
         try:
             name, group = load_group_file(path)
         except (OSError, ValueError) as exc:
-            _usage_error(f"--group {spec!r}: {exc}")
+            usage_error(f"--group {spec!r}: {exc}")
         return name or path.stem, group
     try:
         return spec, find_entry(spec).group
     except KeyError:
-        _usage_error(f"{spec!r} is neither a readable file nor a catalog entry name")
-
-
-def _max_degree(value: int) -> int:
-    """The --max-degree value, or one error line when the catalog cannot reach it."""
-    if value > MAX_DEGREE:
-        _usage_error(f"--max-degree {value}: catalog degrees stop at {MAX_DEGREE}")
-    return value
+        usage_error(f"{spec!r} is neither a readable file nor a catalog entry name")
 
 
 def _parse_arg(flag: str, text: str, parse):
@@ -101,7 +120,7 @@ def _parse_arg(flag: str, text: str, parse):
     try:
         return parse(text)
     except ValueError as exc:
-        _usage_error(f"{flag} {text!r}: {exc}")
+        usage_error(f"{flag} {text!r}: {exc}")
 
 
 def _parse_map(text: str, group: PermutationGroup) -> Transformation:
@@ -115,7 +134,7 @@ def _write_output(flag: str, path: str, text: str):
     try:
         Path(path).write_text(text)
     except OSError as exc:
-        _usage_error(f"{flag} {path!r}: {exc.strerror or exc}")
+        usage_error(f"{flag} {path!r}: {exc.strerror or exc}")
 
 
 def _verdict_json(
@@ -141,7 +160,7 @@ def _add_instance_args(p: argparse.ArgumentParser):
 
 def cmd_catalog(args) -> int:
     if args.action == "list":
-        for entry in build_catalog(_max_degree(args.max_degree)):
+        for entry in catalog_up_to(args.max_degree):
             exp = entry.expected
             print(
                 f"{entry.name:<12} degree {entry.degree:<3} "
@@ -152,7 +171,7 @@ def cmd_catalog(args) -> int:
     try:
         entry = find_entry(args.name)
     except KeyError:
-        _usage_error(f"no catalog entry named {args.name!r}")
+        usage_error(f"no catalog entry named {args.name!r}")
     g = entry.group
     print(f"name:        {entry.name}")
     print(f"degree:      {entry.degree}")
@@ -219,21 +238,12 @@ def cmd_gr(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if not args.budget_seconds >= 0:  # also false for nan
-        _usage_error(f"--budget-seconds {args.budget_seconds}: a budget is at least 0 seconds")
-    if args.max_instances is not None and args.max_instances < 0:
-        _usage_error(f"--max-instances {args.max_instances}: a budget is at least 0 instances")
-    budget = Budget(seconds=args.budget_seconds, max_instances=args.max_instances)
-    max_degree = _max_degree(args.max_degree)
+    budget = check_budget(args.budget_seconds, args.max_instances)
+    max_degree = check_max_degree(args.max_degree)
     try:
         report = verify_theorem(args.id, max_degree=max_degree, budget=budget, cap=_closure_cap())
-    except ValueError as exc:  # a kernel type too large for a partition table
-        _usage_error(f"verify {args.id} --max-degree {max_degree}: {exc}")
-    if report.passed and not report.instances_tested:
-        _usage_error(
-            f"verify {args.id} --max-degree {max_degree}: the sweep has no instance "
-            "at these degrees, so a pass would be vacuous"
-        )
+    except ValueError as exc:  # a vacuous pass, or a kernel type too large for a table
+        usage_error(f"verify {args.id} --max-degree {max_degree}: {exc}")
     sys.stdout.write(report_emit(report, args.format, include_timings=args.timings))
     return {"pass": 0, "fail": 1, "inconclusive": 2}[report.status]
 
@@ -243,7 +253,7 @@ def cmd_depth(args) -> int:
     try:
         witnesses = regular_partition_witnesses(group, allow_nonuniform=args.allow_nonuniform)
     except ValueError as exc:  # an intransitive group, or a degree the search refuses
-        _usage_error(f"--group {args.group!r}: {exc}")
+        usage_error(f"--group {args.group!r}: {exc}")
     if not witnesses:
         print(f"{name}: no nontrivial stable-section partition sizes; depth = inf")
         return 0
@@ -258,8 +268,8 @@ def cmd_depth(args) -> int:
 
 def cmd_scan(args) -> int:
     if args.rank is not None and args.rank < 1:
-        _usage_error(f"--rank {args.rank}: a rank is at least 1")
-    max_degree = _max_degree(args.max_degree)
+        usage_error(f"--rank {args.rank}: a rank is at least 1")
+    max_degree = check_max_degree(args.max_degree)
     entries = build_catalog(max_degree)
     if args.degree:
         entries = [e for e in entries if e.degree == args.degree]
@@ -281,7 +291,7 @@ def cmd_scan(args) -> int:
             types = kernel_types_of_rank(n, n - 1)
         selected.append((entry, types))
     if not selected:
-        _usage_error(
+        usage_error(
             f"no catalog group of degree <= {max_degree} fits these filters; "
             "--rank must be below the degree and --kernel-type must sum to it"
         )
@@ -290,7 +300,7 @@ def cmd_scan(args) -> int:
             for kt in types:
                 partition_count(kt)
     except ValueError as exc:
-        _usage_error(str(exc))
+        usage_error(str(exc))
     for entry, types in selected:
         for kt in types:
             for inst in instances_of_type(entry.group, kt):
@@ -316,7 +326,7 @@ def cmd_closure(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+    parser = UsageParser(
         prog="synchrolab",
         description="synchronization checker for permutation groups plus a map",
     )

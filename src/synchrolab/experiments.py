@@ -11,9 +11,10 @@ claim held. A run produces an ExperimentReport whose status is:
 Every sweep decides its maps through _Sweeper.unsynchronized: one kernel
 representative and its int8 assignment rows, in blocks of rows with the
 numpy orbit solver, which keeps about sync.BLOCK_PAIR_CELLS (row, point
-pair) cells of uint64 masks in memory per block. It ticks the budget once
-per map, as if the maps ran one by one, and yields the maps the solver
-does not synchronize in sweep order. rankpres-32 decides only the maps a
+pair) cells of uint64 masks in memory per block. _Sweeper.admit is the one
+budget gate: it lets a block through, or only the part of it left in the
+instance budget. unsynchronized yields the maps the solver does not
+synchronize in sweep order. rankpres-32 decides only the maps a
 bool mask covers, found with one rank-preserving search per kernel and
 image set; idempotent-32 groups its idempotents by kernel into rows.
 The sweeps over (k,1,...,1) maps share one body:
@@ -104,7 +105,7 @@ class _BudgetExceeded(Exception):
 
 
 class _Sweeper:
-    """Shared bookkeeping: budget ticks, verdicts, re-verification."""
+    """Shared bookkeeping: the budget gate, verdicts, re-verification."""
 
     def __init__(self, report: ExperimentReport, budget: Budget, cap: int):
         self.report = report
@@ -119,26 +120,19 @@ class _Sweeper:
             self._solvers[key] = OrbitCollapseSolver(entry.group)
         return self._solvers[key]
 
-    def tick(self):
-        n = self.report.instances_tested
-        self.report.instances_tested = n + 1
-        if self.budget.max_instances is not None and n + 1 > self.budget.max_instances:
-            raise _BudgetExceeded
-        if n % 512 == 0 and time.monotonic() - self.started > self.budget.seconds:
-            raise _BudgetExceeded
-
     def admit(self, count: int) -> int:
-        """How many of the next count instances the instance budget lets through.
+        """How many of the next count instances the budget lets through, at least 1.
 
-        Reads the clock once; out of time, the first of them is ticked and
-        the run ends, as tick would end it.
+        Reads the clock once. Out of time or out of instances, the first of
+        them is counted, as the one that broke the budget, and the run ends.
         """
-        if time.monotonic() - self.started > self.budget.seconds:
+        fits = count
+        if self.budget.max_instances is not None:
+            fits = min(count, self.budget.max_instances - self.report.instances_tested)
+        if fits < 1 or time.monotonic() - self.started > self.budget.seconds:
             self.report.instances_tested += 1
             raise _BudgetExceeded
-        if self.budget.max_instances is None:
-            return count
-        return max(0, min(count, self.budget.max_instances - self.report.instances_tested))
+        return fits
 
     def confirm_not_synchronizing(
         self, entry: CatalogEntry, f: Transformation
@@ -173,34 +167,29 @@ class _Sweeper:
         )
 
     def unsynchronized(self, entry: CatalogEntry, kernel: Partition, assignments, covered=None):
-        """Tick every map of a kernel and its int8 assignment rows; yield the unsynchronized.
+        """Count every map of a kernel and its int8 assignment rows; yield the unsynchronized.
 
         Only the rows the bool mask covered marks are decided (every row
         when covered is None), a block of solver.block_rows rows at a time.
-        A yielded map has been counted with all those before it and none
-        after, and a block that the instance budget cuts short is decided
-        only up to the cut, so instances_tested comes out as with one tick
-        per map.
+        A block that the instance budget cuts short is decided only up to
+        the cut, and the next admit ends the run, so instances_tested comes
+        out as with one budget check per map.
         """
         solver = self.solver(entry)
-        report = self.report
         columns = np.array(kernel.block_index, dtype=np.intp)
-        for lo in range(0, len(assignments), solver.block_rows):
-            rows = assignments[lo : lo + solver.block_rows]
-            fits = self.admit(len(rows))
-            images = rows[:fits, columns]
+        lo = 0
+        while lo < len(assignments):
+            fits = self.admit(min(solver.block_rows, len(assignments) - lo))
+            images = assignments[lo : lo + fits, columns]
             if covered is None:
                 failing = np.flatnonzero(~solver.synchronizes_images(images))
             else:
                 picked = np.flatnonzero(covered[lo : lo + fits])
                 failing = picked[~solver.synchronizes_images(images[picked])]
-            base = report.instances_tested
+            self.report.instances_tested += fits
             for i in failing.tolist():
-                report.instances_tested = base + i + 1
                 yield Transformation(tuple(images[i].tolist()))
-            report.instances_tested = base + fits
-            if fits < len(rows):
-                self.tick()  # one past the instance budget: raises
+            lo += fits
 
     def unsynchronized_of_type(self, entry: CatalogEntry, kt: KernelType):
         """The unsynchronized maps of a kernel type, one kernel representative at a time."""
@@ -217,7 +206,7 @@ class _Sweeper:
         self, entry: CatalogEntry, f: Transformation, context: str
     ) -> None:
         """Verify a constructed map is indeed not synchronized."""
-        self.tick()
+        self.report.instances_tested += self.admit(1)
         solver = self.solver(entry)
         if solver.synchronizes_images(f.images):
             self.report.counterexamples.append(
@@ -384,9 +373,11 @@ def grid_projection(m: int = 3) -> Transformation:
 def _sweep_grid_counterexample(sw: _Sweeper, max_degree: int):
     """The 3x3 grid group fails on the row-kernel diagonal projection."""
     entry = find_entry("grid-3")
+    if entry.degree > max_degree:
+        return
     verify_entry(entry)
     f = grid_projection(3)
-    sw.tick()
+    sw.report.instances_tested += sw.admit(1)
     verdict = synchronizes(entry.group, f)
     problems = []
     graph = verdict.obstruction
@@ -624,6 +615,8 @@ def verify_theorem(
     budget: Budget | None = None,
     cap: int = DEFAULT_CLOSURE_CAP,
 ) -> ExperimentReport:
+    """Run one sweep. ValueError when it would pass with 0 instances, or when
+    a kernel type is too large for a partition table."""
     if theorem_id not in THEOREMS:
         known = ", ".join(sorted(THEOREMS))
         raise KeyError(f"unknown experiment id {theorem_id!r}; known: {known}")
@@ -636,6 +629,8 @@ def verify_theorem(
     except _BudgetExceeded:
         report.inconclusive = True
         report.notes.append("budget exhausted; run is inconclusive")
+    if report.passed and not report.instances_tested:
+        raise ValueError("the sweep has no instance at these degrees, so a pass would be vacuous")
     report.wall_time = time.monotonic() - start
     return report
 

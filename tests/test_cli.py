@@ -70,6 +70,11 @@ class TestCatalogCommands:
         assert f"order:       {math.factorial(64) // 2}\n" in out
         assert "primitive:   True" in out
 
+    @pytest.mark.parametrize("degree", ["2", "0"])
+    def test_list_below_the_catalog(self, capsys, degree):
+        err = run_rejected(capsys, "catalog", "list", "--max-degree", degree)
+        assert err == f"error: --max-degree {degree}: the catalog starts at degree 3\n"
+
     def test_show_unknown(self, capsys):
         err = run_rejected(capsys, "catalog", "show", "wat")
         assert err == "error: no catalog entry named 'wat'\n"
@@ -490,7 +495,8 @@ class TestBadInput:
         assert message == f"error: {argv[-1]} {path!r}: {reason}\n"
 
     @pytest.mark.parametrize(
-        "theorem,degree", [("rystsov", "2"), ("rank-n-2", "3"), ("idempotent-32", "4")]
+        "theorem,degree",
+        [("rystsov", "2"), ("rank-n-2", "3"), ("idempotent-32", "4"), ("grid-counterexample", "8")],
     )
     def test_verify_with_no_instance_is_not_a_pass(self, capsys, theorem, degree):
         message = run_rejected(capsys, "verify", theorem, "--max-degree", degree)
@@ -561,7 +567,7 @@ def run_script(argv):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["verify_all.py", "--max-degree", "6", "--rystsov-degree", "6"],
+        ["verify_all.py", "--max-degree", "9", "--rystsov-degree", "6"],
         ["depth_survey.py", "--max-degree", "6"],
         ["depth_survey.py", "--max-degree", "6", "--allow-nonuniform"],
         ["grid_walkthrough.py"],
@@ -580,7 +586,8 @@ SCRIPT_REFUSALS = [
     (["verify_all.py", "--rystsov-degree", "65"], "--rystsov-degree 65: catalog degrees stop at 64"),
     (
         ["verify_all.py", "--max-degree", "2", "--rystsov-degree", "2"],
-        "idempotent-32 at degree <= 2: the sweep has no instance, so a pass would be vacuous",
+        "grid-counterexample at degree <= 2: the sweep has no instance at these degrees, "
+        "so a pass would be vacuous",
     ),
     (["verify_all.py", "--budget-seconds", "-1"], "--budget-seconds -1.0: a budget is at least 0 seconds"),
     (["depth_survey.py", "--max-degree", "70"], "--max-degree 70: the section search stops at degree 12"),
@@ -618,11 +625,11 @@ def test_verify_all_refuses_kernel_type_too_large(capsys, monkeypatch):
     spec.loader.exec_module(script)
     monkeypatch.setattr(sweeps, "MAX_TABLE_PARTITIONS", 100)
     sweeps.partition_table.cache_clear()  # tables built under the real limit
-    monkeypatch.setattr(sys, "argv", ["verify_all.py", "--max-degree", "7", "--rystsov-degree", "7"])
+    monkeypatch.setattr(sys, "argv", ["verify_all.py", "--max-degree", "9", "--rystsov-degree", "9"])
     with pytest.raises(SystemExit) as exit_info:
         script.main()
     assert exit_info.value.code == 64
     assert capsys.readouterr().err == (
-        "error: idempotent-32 at degree <= 7: kernel type (3,2,1,1) has 210 "
+        "error: idempotent-32 at degree <= 9: kernel type (3,2,1,1) has 210 "
         "partitions, more than the 100 a partition table holds\n"
     )

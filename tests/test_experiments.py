@@ -89,6 +89,16 @@ class TestVerdicts:
         assert report.status == "pass"
 
 
+class TestVacuousPasses:
+    @pytest.mark.parametrize(
+        "theorem_id,degree",
+        [("rystsov", 2), ("rank-n-2", 3), ("idempotent-32", 4), ("grid-counterexample", 8)],
+    )
+    def test_pass_with_no_instance_is_refused(self, theorem_id, degree):
+        with pytest.raises(ValueError, match="so a pass would be vacuous"):
+            verify_theorem(theorem_id, max_degree=degree, budget=QUICK)
+
+
 class TestBudgets:
     def test_instance_budget_inconclusive(self):
         budget = Budget(seconds=600.0, max_instances=5)
@@ -280,7 +290,8 @@ class TestReports:
 # SHA-256 of each sweep's jsonl report, recorded before the sweeps were
 # folded onto one instance loop; a refactor must not move a count, witness
 # or note. no-rank-r-plus-1 and split-one-part run at degree 9, the lowest
-# degree with closures to check (the two grid-3 ones).
+# degree with closures to check (the two grid-3 ones), and grid-counterexample
+# at 9, the degree of its one instance.
 REPORT_DIGESTS = [
     ("rystsov", 8, "39c891ea5e8ec77c73183fbcec18d42a60805faba86116fd37b0b0fd6a455afc"),
     ("imprimitivity-char", 8, "355bf48e48e9a83b72f9524e8038ebdb3c5c8db267ea434a86c304b207181f3c"),
@@ -288,7 +299,7 @@ REPORT_DIGESTS = [
     ("idempotent-32", 8, "b354d4fbc3d2adf701a0f1d3f47b6dcef1ba8fa1e11e44907c78ec216206dccf"),
     ("rankpres-32", 8, "0df7fd94423a96f8569b4112be7b48e30bbfa124a927fd1b0afa61d75e1a3cec"),
     ("small-ranks", 8, "8dd8d81822d834fc62258b9c7d2bafc035dc4cb1813f2467d445e4bd07ae1d74"),
-    ("grid-counterexample", 8, "74581b369289e80855dba4fb6cdd1f4cc0a43f36f7528eb08e188c6a01538ccb"),
+    ("grid-counterexample", 9, "289819233a0eec1a799fe11ab67b234c0acb7e22d3644834613a5cfeb36bb3ad"),
     ("lemma41-diagnostic", 8, "4193ba68954a99174756639547f13bc092b932a5da9c1cf71e6888f87e3afa48"),
     ("no-rank-r-plus-1", 9, "cdbff17a1d1fb7a018b891f206c624e4d760135316ca1d1b9462cf453962d605"),
     ("split-one-part", 9, "d14d0e1eea27d3087cb7e68b43646fd6c5af560e3f65966da0827d1e52a801ab"),

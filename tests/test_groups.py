@@ -477,6 +477,71 @@ class TestBlockSystems:
         )
 
 
+def equal_block_partitions(n, size):
+    """Every partition of range(n) into blocks of one size, as sorted block tuples."""
+
+    def extend(rest):
+        if not rest:
+            yield ()
+            return
+        first, others = rest[0], rest[1:]
+        for mates in itertools.combinations(others, size - 1):
+            left = [x for x in others if x not in mates]
+            for tail in extend(left):
+                yield ((first, *mates), *tail)
+
+    return list(extend(list(range(n))))
+
+
+def reference_block_systems(group):
+    """Brute force: every nontrivial equal-block partition the generators permute."""
+    n = group.degree
+    found = []
+    for size in range(2, n):
+        if n % size:
+            continue
+        for blocks in equal_block_partitions(n, size):
+            if all(act_on_blocks(blocks, g.images) == blocks for g in group.generators):
+                found.append(blocks)
+    return sorted(found, key=lambda b: (len(b[0]), b))
+
+
+def elementary_abelian_8():
+    """C2 x C2 x C2 acting regularly on 8 points: x -> x xor e."""
+    return PermutationGroup(
+        [Transformation(tuple(x ^ e for x in range(8))) for e in (1, 2, 4)], 8
+    )
+
+
+class TestBlockSystemsAgainstBruteForce:
+    def test_blocks_only_a_larger_closure_finds(self):
+        g = elementary_abelian_8()
+        # every closure of {0, b} is {0, b} itself, so the blocks of size 4
+        # come only from closing a block of size 2 with one more point
+        assert all(g.block_closure([0, b]) == {0, b} for b in range(1, 8))
+        sizes = [s.block_size for s in g.block_systems()]
+        assert sizes == [2] * 7 + [4] * 7
+
+    @pytest.mark.parametrize(
+        "group",
+        [
+            elementary_abelian_8(),
+            cyclic_group(8),
+            cyclic_group(6),
+            dihedral_group(6),
+            grid_group(2),
+            symmetric_group(6),
+        ],
+        ids=["C2^3", "C8", "C6", "D6", "grid-2", "S6"],
+    )
+    def test_matches_reference(self, group):
+        got = sorted(
+            (s.partition.blocks for s in group.block_systems()),
+            key=lambda b: (len(b[0]), b),
+        )
+        assert got == reference_block_systems(group)
+
+
 def has_involution_moving(g, moved):
     """Whether some element is a product of moved/2 disjoint transpositions."""
     for e in g.elements():
