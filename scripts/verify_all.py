@@ -3,16 +3,17 @@
 
 Exit code: 0 when everything passed, 1 on any counterexample, 2 when some
 run was inconclusive (budget). rystsov sweeps to degree 12, the rest to
-degree 10, matching the release gate. Bad input exits 64 with one
-``error: ...`` line through the checks of ``synchrolab verify``: a degree
-beyond the catalog, a negative budget, a kernel type too large to
-enumerate, or a sweep that passes with 0 instances (a vacuous pass, which
-``verify_theorem`` refuses).
+degree 10, matching the release gate. A sweep with no instance at its
+degree (grid-counterexample below 9) prints a ``skipped`` line, which does
+not set the exit code. Bad input exits 64 with one ``error: ...`` line
+through the checks of ``synchrolab verify``: a degree beyond the catalog,
+a negative budget, a kernel type too large to enumerate, or degrees at
+which every sweep is skipped.
 """
 import sys
 
 from synchrolab.cli import UsageParser, check_budget, check_max_degree, usage_error
-from synchrolab.experiments import THEOREMS, verify_theorem
+from synchrolab.experiments import THEOREMS, NoInstanceError, verify_theorem
 from synchrolab.reports import report_emit
 
 
@@ -27,13 +28,17 @@ def main() -> int:
     check_max_degree(args.rystsov_degree, "--rystsov-degree")
     budget = check_budget(args.budget_seconds)
 
-    worst = 0
+    worst, ran = 0, False
     for theorem_id in sorted(THEOREMS):
         degree = args.rystsov_degree if theorem_id == "rystsov" else args.max_degree
         try:
             report = verify_theorem(theorem_id, max_degree=degree, budget=budget)
-        except ValueError as exc:  # a vacuous pass, or a kernel type too large for a table
+        except NoInstanceError:
+            print(f"{theorem_id:<22} skipped (no instance at degree <= {degree})")
+            continue
+        except ValueError as exc:  # a kernel type too large for a table
             usage_error(f"{theorem_id} at degree <= {degree}: {exc}")
+        ran = True
         print(
             f"{theorem_id:<22} {report.status:<12} degree<={degree:<3}"
             f" instances={report.instances_tested:<10}"
@@ -44,6 +49,11 @@ def main() -> int:
         if args.full:
             print(report_emit(report, "table", include_timings=True))
         worst = max(worst, {"pass": 0, "fail": 1, "inconclusive": 2}[report.status])
+    if not ran:
+        usage_error(
+            f"--max-degree {args.max_degree} --rystsov-degree {args.rystsov_degree}: "
+            "no sweep has an instance at these degrees, so a pass would be vacuous"
+        )
     return worst
 
 

@@ -21,10 +21,12 @@ The sweeps over (k,1,...,1) maps share one body:
 `imprimitivity-char` takes every k from 2 to n-1, and `rystsov` (primitive
 iff every rank n-1 map synchronizes) is its k = 2 case.
 
-Every counterexample is re-verified against the brute-force closure
-oracle before being reported, so a fast-path bug cannot fabricate one.
-Expected failures (witnesses, e.g. the imprimitive constructions) are
-re-verified the same way.
+Every unsynchronized map a sweep uses goes through one re-verification,
+_Sweeper.confirm_not_synchronizing: the pair-collapse search, then the
+closure oracle capped at min(cap, WITNESS_ORACLE_CAP), which must agree on
+the verdict and the min rank. That covers counterexamples, witnesses, the
+spectrum sweeps' closures and lemma41's graphs, so a fast-path bug
+cannot fabricate a failure or hide a constant. Callers read its Evidence.
 """
 from __future__ import annotations
 
@@ -36,10 +38,10 @@ import numpy as np
 
 from .catalog import CatalogEntry, build_catalog, find_entry, verify_entry
 from .groups import PermutationGroup
-from .graphs import complete_multipartite, witness_map_for_block
+from .graphs import Graph, complete_multipartite, witness_map_for_block
 from .semigroups import (
     DEFAULT_CLOSURE_CAP,
-    TruncatedClosureError,
+    SemigroupClosure,
     coblock_graph,
     find_rank_preserving_g,
     group_and_map_closure,
@@ -104,6 +106,20 @@ class _BudgetExceeded(Exception):
     pass
 
 
+class NoInstanceError(ValueError):
+    """The sweep met no instance at these degrees, so a pass would be vacuous."""
+
+
+@dataclass(frozen=True)
+class Evidence:
+    """A re-verified non-synchronizing map: its record, its obstruction
+    graph, and its complete closure (None when the oracle truncated)."""
+
+    record: InstanceRecord
+    graph: Graph
+    closure: SemigroupClosure | None
+
+
 class _Sweeper:
     """Shared bookkeeping: the budget gate, verdicts, re-verification."""
 
@@ -134,19 +150,21 @@ class _Sweeper:
             raise _BudgetExceeded
         return fits
 
-    def confirm_not_synchronizing(
-        self, entry: CatalogEntry, f: Transformation
-    ) -> InstanceRecord:
-        """Strongest available re-verification of a non-synchronizing verdict."""
+    def confirm_not_synchronizing(self, entry: CatalogEntry, f: Transformation) -> Evidence:
+        """Re-verify a non-synchronizing verdict: the pair-collapse search,
+        then the closure oracle, which must agree on it and on the min rank.
+        The only place a sweep runs either."""
         flat = synchronizes(entry.group, f)
         if flat.synchronizes:
             raise AssertionError(
                 "fast path and pair-collapse search disagree; bug"
             )
-        note = "re-verified: pair-collapse search"
         min_rank = flat.min_rank_bound
-        try:
-            c = group_and_map_closure(entry.group, f, cap=min(self.cap, WITNESS_ORACLE_CAP))
+        c = group_and_map_closure(entry.group, f, cap=min(self.cap, WITNESS_ORACLE_CAP))
+        if c.truncated:
+            c = None
+            note = "re-verified: pair-collapse search (closure oracle truncated)"
+        else:
             if c.contains_constant():
                 raise AssertionError(
                     "closure oracle found a constant the graph search missed; bug"
@@ -156,15 +174,14 @@ class _Sweeper:
                     f"oracle min rank {c.min_rank} != graph bound {min_rank}; bug"
                 )
             note = "re-verified: pair-collapse search + closure oracle"
-        except TruncatedClosureError:
-            note = "re-verified: pair-collapse search (closure oracle truncated)"
-        return InstanceRecord(
+        record = InstanceRecord(
             group=entry.name,
             map_text=format_transformation(f),
             verdict=False,
             min_rank=min_rank,
             note=note,
         )
+        return Evidence(record, flat.obstruction, c)
 
     def unsynchronized(self, entry: CatalogEntry, kernel: Partition, assignments, covered=None):
         """Count every map of a kernel and its int8 assignment rows; yield the unsynchronized.
@@ -200,15 +217,15 @@ class _Sweeper:
     def expect_synchronized(self, entry: CatalogEntry, failing) -> None:
         """Record each map of failing, which the claim says must synchronize."""
         for f in failing:
-            self.report.counterexamples.append(self.confirm_not_synchronizing(entry, f))
+            self.report.counterexamples.append(self.confirm_not_synchronizing(entry, f).record)
 
     def expect_witness_failure(
         self, entry: CatalogEntry, f: Transformation, context: str
-    ) -> None:
-        """Verify a constructed map is indeed not synchronized."""
+    ) -> Evidence | None:
+        """Count a constructed map the claim says fails, and re-verify it; a
+        counterexample and None when the orbit solver synchronizes it."""
         self.report.instances_tested += self.admit(1)
-        solver = self.solver(entry)
-        if solver.synchronizes_images(f.images):
+        if self.solver(entry).synchronizes_images(f.images):
             self.report.counterexamples.append(
                 InstanceRecord(
                     group=entry.name,
@@ -217,9 +234,8 @@ class _Sweeper:
                     note=f"{context}: expected failure but the map synchronizes",
                 )
             )
-            return
-        record = self.confirm_not_synchronizing(entry, f)
-        self.report.witnesses.append(replace(record, note=f"{context}; {record.note}"))
+            return None
+        return self.confirm_not_synchronizing(entry, f)
 
 
 def _entries(max_degree: int, min_degree: int = 3) -> list[CatalogEntry]:
@@ -264,7 +280,11 @@ def _sweep_block_collapse(sw: _Sweeper, max_degree: int, k_range, label: str):
         bmax = _max_block_size(entry)
         for k in k_range(n):
             if k <= bmax:
-                sw.expect_witness_failure(entry, _block_witness(entry, k), label.format(k=k))
+                context = label.format(k=k)
+                evidence = sw.expect_witness_failure(entry, _block_witness(entry, k), context)
+                if evidence is not None:
+                    record = evidence.record
+                    sw.report.witnesses.append(replace(record, note=f"{context}; {record.note}"))
             else:
                 kt = KernelType(tuple([k] + [1] * (n - k)))
                 sw.expect_synchronized(entry, sw.unsynchronized_of_type(entry, kt))
@@ -377,12 +397,13 @@ def _sweep_grid_counterexample(sw: _Sweeper, max_degree: int):
         return
     verify_entry(entry)
     f = grid_projection(3)
-    sw.report.instances_tested += sw.admit(1)
-    verdict = synchronizes(entry.group, f)
+    evidence = sw.expect_witness_failure(entry, f, "grid projection")
+    if evidence is None:
+        return
+    graph = evidence.graph
     problems = []
-    graph = verdict.obstruction
-    if verdict.synchronizes:
-        problems.append("instance synchronizes")
+    if evidence.closure is None:
+        problems.append("closure oracle truncated")
     if graph.edge_count != 18:
         problems.append(f"edge count {graph.edge_count} != 18")
     if graph.regular_valency() != 4:
@@ -397,31 +418,21 @@ def _sweep_grid_counterexample(sw: _Sweeper, max_degree: int):
         problems.append("two vertices share a neighbourhood")
     if graph.near_clique_witness(3) is not None:
         problems.append("found a 4-set inducing K4 minus an edge")
-    c = group_and_map_closure(entry.group, f, cap=sw.cap)
-    if c.min_rank != 3 or c.contains_constant():
-        problems.append("closure oracle disagrees with min rank 3")
     delta = coblock_graph(entry.group, f.kernel())
     comp = graph.complement()
     if any(not comp.is_edge(v, w) for v, w in delta.edges()):
         problems.append("coblock graph is not inside the obstruction complement")
     if problems:
         sw.report.counterexamples.append(
-            InstanceRecord(
-                group=entry.name,
-                map_text=format_transformation(f),
-                verdict=verdict.synchronizes,
-                min_rank=clique,
-                note="; ".join(problems),
-            )
+            replace(evidence.record, min_rank=clique, note="; ".join(problems))
         )
     else:
-        sw.report.witnesses.append(
-            sw.confirm_not_synchronizing(entry, f)
-        )
+        sw.report.witnesses.append(evidence.record)
 
 
 def _nonsync_closure_instances(sw: _Sweeper, max_degree: int):
-    """Closures of non-synchronized primitive instances, for spectrum sweeps.
+    """Evidence of the non-synchronized primitive instances with a complete
+    closure, for the spectrum sweeps; a truncated closure is noted and skipped.
 
     Instance family: all uniform kernel types (the only ones a primitive
     group can fail on) plus every non-uniform type of rank 2 and 3. The
@@ -440,34 +451,25 @@ def _nonsync_closure_instances(sw: _Sweeper, max_degree: int):
                 )
         for kt in types:
             for f in sw.unsynchronized_of_type(entry, kt):
-                try:
-                    c = group_and_map_closure(entry.group, f, cap=sw.cap)
-                    c.min_rank  # force completeness check
-                except TruncatedClosureError:
+                evidence = sw.confirm_not_synchronizing(entry, f)
+                if evidence.closure is None:
                     sw.report.notes.append(
-                        f"{entry.name} {format_transformation(f)}: closure truncated, skipped"
+                        f"{entry.name} {evidence.record.map_text}: closure truncated, skipped"
                     )
-                    continue
-                yield entry, f, c
+                else:
+                    yield evidence
 
 
 def _sweep_no_rank_r_plus_1(sw: _Sweeper, max_degree: int):
     """Non-synchronized primitive closures skip rank r+1 entirely."""
     checked = 0
-    for entry, f, c in _nonsync_closure_instances(sw, max_degree):
+    for evidence in _nonsync_closure_instances(sw, max_degree):
+        c = evidence.closure
         r = c.min_rank
-        if r <= 1:
-            continue
         checked += 1
         if (r + 1) in c.rank_spectrum:
             sw.report.counterexamples.append(
-                InstanceRecord(
-                    group=entry.name,
-                    map_text=format_transformation(f),
-                    verdict=False,
-                    min_rank=r,
-                    note=f"rank spectrum {c.rank_spectrum} contains {r + 1}",
-                )
+                replace(evidence.record, note=f"rank spectrum {c.rank_spectrum} contains {r + 1}")
             )
     sw.report.notes.append(f"closures checked: {checked}")
 
@@ -475,10 +477,11 @@ def _sweep_no_rank_r_plus_1(sw: _Sweeper, max_degree: int):
 def _sweep_split_one_part(sw: _Sweeper, max_degree: int):
     """No element of rank > r may keep r-1 kernel parts of size n/r."""
     checked = 0
-    for entry, f, c in _nonsync_closure_instances(sw, max_degree):
+    for evidence in _nonsync_closure_instances(sw, max_degree):
+        c = evidence.closure
         r = c.min_rank
-        n = entry.degree
-        if r <= 1 or n % r != 0:
+        n = c.degree
+        if n % r != 0:
             continue
         checked += 1
         part = n // r
@@ -492,11 +495,9 @@ def _sweep_split_one_part(sw: _Sweeper, max_degree: int):
             big = sum(1 for s in sizes.values() if s == part)
             if big == r - 1:
                 sw.report.counterexamples.append(
-                    InstanceRecord(
-                        group=entry.name,
+                    replace(
+                        evidence.record,
                         map_text=format_transformation(c.element(i)),
-                        verdict=False,
-                        min_rank=r,
                         note=f"rank {int(ranks[i])} element keeps {r - 1} parts of size {part}",
                     )
                 )
@@ -534,8 +535,8 @@ def _sweep_lemma41_diagnostic(sw: _Sweeper, max_degree: int):
         for kt in types:
             for f in sw.unsynchronized_of_type(entry, kt):
                 found += 1
-                record = sw.confirm_not_synchronizing(entry, f)
-                graph = synchronizes(entry.group, f).obstruction
+                evidence = sw.confirm_not_synchronizing(entry, f)
+                graph = evidence.graph
                 big = [b for b in f.kernel().blocks if len(b) > 1]
                 a_block, b_block = big[0], big[1]
                 k_set = list(a_block) + list(b_block)
@@ -558,16 +559,10 @@ def _sweep_lemma41_diagnostic(sw: _Sweeper, max_degree: int):
                     problems.append("no 4-vertex path or cycle in the big blocks")
                 if problems:
                     sw.report.counterexamples.append(
-                        InstanceRecord(
-                            group=entry.name,
-                            map_text=record.map_text,
-                            verdict=False,
-                            min_rank=record.min_rank,
-                            note="; ".join(problems),
-                        )
+                        replace(evidence.record, note="; ".join(problems))
                     )
                 else:
-                    sw.report.witnesses.append(record)
+                    sw.report.witnesses.append(evidence.record)
     sw.report.notes.append(f"non-synchronized two-block instances: {found}")
 
 
@@ -630,7 +625,7 @@ def verify_theorem(
         report.inconclusive = True
         report.notes.append("budget exhausted; run is inconclusive")
     if report.passed and not report.instances_tested:
-        raise ValueError("the sweep has no instance at these degrees, so a pass would be vacuous")
+        raise NoInstanceError("the sweep has no instance at these degrees, so a pass would be vacuous")
     report.wall_time = time.monotonic() - start
     return report
 

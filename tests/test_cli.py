@@ -586,7 +586,7 @@ SCRIPT_REFUSALS = [
     (["verify_all.py", "--rystsov-degree", "65"], "--rystsov-degree 65: catalog degrees stop at 64"),
     (
         ["verify_all.py", "--max-degree", "2", "--rystsov-degree", "2"],
-        "grid-counterexample at degree <= 2: the sweep has no instance at these degrees, "
+        "--max-degree 2 --rystsov-degree 2: no sweep has an instance at these degrees, "
         "so a pass would be vacuous",
     ),
     (["verify_all.py", "--budget-seconds", "-1"], "--budget-seconds -1.0: a budget is at least 0 seconds"),
@@ -608,6 +608,16 @@ def test_script_refuses_bad_input(argv, message):
     proc = run_script(argv)
     assert proc.returncode == 64
     assert proc.stderr.decode() == f"error: {message}\n"
+
+
+def test_verify_all_skips_a_sweep_with_no_instance():
+    """grid-counterexample has no instance below degree 9: a skipped line, not a refusal."""
+    proc = run_script(["verify_all.py", "--max-degree", "8", "--rystsov-degree", "8"])
+    assert proc.returncode == 0, proc.stderr.decode()
+    lines = proc.stdout.decode().splitlines()
+    assert len(lines) == 10
+    assert lines[0] == "grid-counterexample    skipped (no instance at degree <= 8)"
+    assert all(" pass " in line for line in lines[1:])
 
 
 @pytest.mark.parametrize("script", ["verify_all.py", "depth_survey.py"])

@@ -8,6 +8,7 @@ from synchrolab.experiments import (
     THEOREMS,
     Budget,
     ExperimentReport,
+    NoInstanceError,
     _BudgetExceeded,
     _primitive_entries,
     _rank_preserving_mask,
@@ -18,10 +19,11 @@ from synchrolab.experiments import (
     harvest_rank_preserving_pairs,
     verify_theorem,
 )
+from synchrolab import experiments
 from synchrolab.reports import report_emit
 from synchrolab.semigroups import find_rank_preserving_g
 from synchrolab.sweeps import instances_of_type, map_from_assignment, representatives_of_type
-from synchrolab.sync import synchronizes
+from synchrolab.sync import OrbitCollapseSolver, synchronizes
 from synchrolab.transformations import KernelType, Transformation, format_transformation
 
 
@@ -95,8 +97,74 @@ class TestVacuousPasses:
         [("rystsov", 2), ("rank-n-2", 3), ("idempotent-32", 4), ("grid-counterexample", 8)],
     )
     def test_pass_with_no_instance_is_refused(self, theorem_id, degree):
-        with pytest.raises(ValueError, match="so a pass would be vacuous"):
+        with pytest.raises(NoInstanceError, match="so a pass would be vacuous"):
             verify_theorem(theorem_id, max_degree=degree, budget=QUICK)
+
+
+class TestOneReverification:
+    """Every unsynchronized map goes through _Sweeper.confirm_not_synchronizing."""
+
+    # every sweep that decides maps through the orbit solver; grid-counterexample
+    # decides only its one constructed map, which does not synchronize
+    SOLVER_SWEEPS = [
+        "rystsov",
+        "imprimitivity-char",
+        "rank-n-2",
+        "idempotent-32",
+        "rankpres-32",
+        "small-ranks",
+        "no-rank-r-plus-1",
+        "split-one-part",
+        "lemma41-diagnostic",
+    ]
+
+    def test_every_solver_sweep_is_listed(self):
+        assert set(self.SOLVER_SWEEPS) == set(THEOREMS) - {"grid-counterexample"}
+
+    @pytest.mark.parametrize("theorem_id", SOLVER_SWEEPS)
+    def test_a_planted_fast_path_error_raises(self, monkeypatch, theorem_id):
+        """An orbit solver that calls the first synchronizing row of each block
+        unsynchronized is caught, at degree 6, by every sweep."""
+        decide = OrbitCollapseSolver.synchronizes_images
+
+        def planted(self, images):
+            verdicts = decide(self, images)
+            if isinstance(verdicts, np.ndarray):
+                verdicts[np.flatnonzero(verdicts)[:1]] = False
+            return verdicts
+
+        monkeypatch.setattr(OrbitCollapseSolver, "synchronizes_images", planted)
+        with pytest.raises(AssertionError, match="fast path and pair-collapse search disagree"):
+            verify_theorem(theorem_id, max_degree=6, budget=QUICK)
+
+    def test_grid_counterexample_runs_each_check_once(self, monkeypatch):
+        calls = {}
+        for name in ("synchronizes", "group_and_map_closure"):
+            def counted(*args, _name=name, _real=getattr(experiments, name), **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(experiments, name, counted)
+        report = verify_theorem("grid-counterexample", max_degree=9, budget=QUICK)
+        assert report.passed
+        assert calls == {"synchronizes": 1, "group_and_map_closure": 1}
+
+    def test_truncated_oracle_is_a_grid_problem(self):
+        """A cap below grid-3's 144-element closure leaves the graph checks
+        unconfirmed, which the grid sweep reports, not passes."""
+        report = verify_theorem("grid-counterexample", max_degree=9, budget=QUICK, cap=100)
+        assert report.status == "fail"
+        assert [r.note for r in report.counterexamples] == ["closure oracle truncated"]
+        assert report.counterexamples[0].min_rank == 3
+
+    def test_truncated_closure_is_noted_and_skipped(self):
+        report = verify_theorem("no-rank-r-plus-1", max_degree=9, budget=QUICK, cap=100)
+        assert report.status == "pass"
+        assert report.notes == [
+            "grid-3 [1,1,1,5,5,5,9,9,9]: closure truncated, skipped",
+            "grid-3 [1,2,3,3,1,2,2,3,1]: closure truncated, skipped",
+            "closures checked: 0",
+        ]
 
 
 class TestBudgets:

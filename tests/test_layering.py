@@ -1,12 +1,15 @@
-"""No synchrolab module imports a private name from another one, and no
-script keeps its own copy of the CLI's refusal policy.
+"""No synchrolab module imports a private name from another one, no
+script keeps its own copy of the CLI's refusal policy, and the sweeps
+re-verify unsynchronized maps in one place.
 
 A name with a leading underscore belongs to its own module. When another
 module needs it, it moves to the layer both share and loses the underscore,
 as the pair numbering did when it moved to groups.pair_tables. Likewise the
 scripts refuse bad input through synchrolab.cli (usage_error, UsageParser
 and the degree and budget checks), so the exit code and the error line are
-decided in one place.
+decided in one place. In experiments.py only
+_Sweeper.confirm_not_synchronizing calls the pair-collapse search and the
+closure oracle, so every sweep checks its maps with the same rules.
 """
 import ast
 from pathlib import Path
@@ -104,3 +107,55 @@ def test_no_script_copies_the_refusal_policy():
     assert len(scripts) >= 3
     hits = [hit for path in scripts for hit in refusal_copies(path.read_text(), path.name)]
     assert hits == []
+
+
+ORACLES = ("group_and_map_closure", "synchronizes")
+ORACLE_HOME = "_Sweeper.confirm_not_synchronizing"
+
+
+def oracle_calls(source: str, name: str) -> list[str]:
+    """``name:line scope callee`` for every call of synchronizes or
+    group_and_map_closure, scope being the dotted class and function path."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            elif isinstance(child, ast.Call):
+                func = child.func
+                callee = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+                if callee in ORACLES:
+                    found.append(f"{name}:{child.lineno} {scope or '<module>'} {callee}")
+            visit(child, inner)
+
+    visit(ast.parse(source, name), "")
+    return found
+
+
+def test_oracle_calls_are_found():
+    source = (
+        "class _Sweeper:\n"
+        "    def confirm_not_synchronizing(self, entry, f):\n"
+        "        return synchronizes(entry.group, f)\n"
+        "    def other(self, entry, f):\n"
+        "        return semigroups.group_and_map_closure(entry.group, f)\n"
+        "def _sweep(sw, f):\n"
+        "    return [synchronizes(g, f) for g in sw.groups]\n"
+        "verdict = synchronizes(G, f)\n"
+    )
+    assert oracle_calls(source, "probe.py") == [
+        "probe.py:3 _Sweeper.confirm_not_synchronizing synchronizes",
+        "probe.py:5 _Sweeper.other group_and_map_closure",
+        "probe.py:7 _sweep synchronizes",
+        "probe.py:8 <module> synchronizes",
+    ]
+
+
+def test_sweeps_reverify_in_one_place():
+    path = PACKAGE / "experiments.py"
+    calls = oracle_calls(path.read_text(), path.name)
+    home = [c for c in calls if c.split()[1] == ORACLE_HOME]
+    assert sorted(c.split()[2] for c in home) == sorted(ORACLES)
+    assert [c for c in calls if c not in home] == []
