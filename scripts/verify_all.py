@@ -7,8 +7,8 @@ degree 10, matching the release gate. A sweep with no instance at its
 degree (grid-counterexample below 9) prints a ``skipped`` line, which does
 not set the exit code. Bad input exits 64 with one ``error: ...`` line
 through the checks of ``synchrolab verify``: a degree beyond the catalog,
-a negative budget, a kernel type too large to enumerate, or degrees at
-which every sweep is skipped.
+a negative budget, a kernel type or an assignment array too large to
+enumerate, or degrees at which every sweep is skipped.
 """
 import sys
 
@@ -36,7 +36,7 @@ def main() -> int:
         except NoInstanceError:
             print(f"{theorem_id:<22} skipped (no instance at degree <= {degree})")
             continue
-        except ValueError as exc:  # a kernel type too large for a table
+        except ValueError as exc:  # a kernel type or assignment array too large
             usage_error(f"{theorem_id} at degree <= {degree}: {exc}")
         ran = True
         print(

@@ -22,7 +22,7 @@ from functools import cache
 from math import factorial, isqrt
 
 from .groups import PermutationGroup
-from .transformations import Transformation
+from .transformations import MAX_DEGREE, Transformation
 
 
 @dataclass(frozen=True)
@@ -287,7 +287,7 @@ def _is_prime(n: int) -> bool:
 
 @cache
 def _entries_of_degree(n: int) -> tuple[CatalogEntry, ...]:
-    """The catalog entries of degree n (3 <= n <= 64), sorted by name.
+    """The catalog entries of degree n (3 <= n <= MAX_DEGREE), sorted by name.
 
     Memoised: one tuple of entries per degree for the whole process.
     """
@@ -382,8 +382,8 @@ def build_catalog(max_degree: int = 12) -> list[CatalogEntry]:
     The list is new on every call, but its entries are the process-wide
     shared ones: two calls return the same entry and group objects.
     """
-    if max_degree > 64:
-        raise ValueError("catalog degrees stop at 64")
+    if max_degree > MAX_DEGREE:
+        raise ValueError(f"catalog degrees stop at {MAX_DEGREE}")
     return [e for n in range(3, max_degree + 1) for e in _entries_of_degree(n)]
 
 
@@ -407,7 +407,7 @@ def find_entry(name: str) -> CatalogEntry:
 
     The entry is the shared one that ``build_catalog`` also returns.
     """
-    for n in range(3, 65):
+    for n in range(3, MAX_DEGREE + 1):
         for entry in _entries_of_degree(n):
             if entry.name == name:
                 return entry

@@ -4,16 +4,16 @@ Subcommands: catalog list|show, check, word, gr, verify, depth, scan,
 closure. The environment variable SYNCHROLAB_CAP overrides the default
 closure cap. verify exits 0 on pass, 1 when a counterexample was found and
 2 when the budget ran out (inconclusive). Bad input, whether a malformed
-argument value, an unknown group, a kernel type too large to enumerate
-(scan, verify), a selection with nothing in it (scan with no group left,
-catalog list below degree 3, verify passing with 0 instances), an output
-path that cannot be written (check, gr, closure) or a command line argparse
-rejects, exits 64 (EX_USAGE), a status no verify outcome uses; all but the
-last print one ``error: ...`` line. The scripts under scripts/ refuse bad
-input through the same public helpers (usage_error, UsageParser,
-check_max_degree, catalog_up_to, check_budget). When the reader of the
-output goes away (``| head``), every subcommand stops quietly with exit
-141, the status of a process ended by SIGPIPE.
+argument value, an unknown group, a kernel type or an assignment array too
+large to enumerate (scan, verify), a selection with nothing in it (scan
+with no group left, catalog list below degree 3, verify passing with 0
+instances), an output path that cannot be written (check, gr, closure) or
+a command line argparse rejects, exits 64 (EX_USAGE), a status no verify
+outcome uses; all but the last print one ``error: ...`` line. The scripts
+under scripts/ refuse bad input through the same public helpers
+(usage_error, UsageParser, check_max_degree, catalog_up_to, check_budget).
+When the reader of the output goes away (``| head``), every subcommand
+stops quietly with exit 141, the status of a process ended by SIGPIPE.
 """
 from __future__ import annotations
 
@@ -32,7 +32,7 @@ from .semigroups import (
     group_and_map_closure,
     regular_partition_witnesses,
 )
-from .sweeps import instances_of_type, kernel_types_of_rank, partition_count
+from .sweeps import assignment_count, instances_of_type, kernel_types_of_rank, partition_count
 from .sync import SyncVerdict, cerny_bound, synchronizes
 from .transformations import (
     MAX_DEGREE,
@@ -242,7 +242,7 @@ def cmd_verify(args) -> int:
     max_degree = check_max_degree(args.max_degree)
     try:
         report = verify_theorem(args.id, max_degree=max_degree, budget=budget, cap=_closure_cap())
-    except ValueError as exc:  # a vacuous pass, or a kernel type too large for a table
+    except ValueError as exc:  # a vacuous pass, or a table or assignment array too large
         usage_error(f"verify {args.id} --max-degree {max_degree}: {exc}")
     sys.stdout.write(report_emit(report, args.format, include_timings=args.timings))
     return {"pass": 0, "fail": 1, "inconclusive": 2}[report.status]
@@ -271,7 +271,7 @@ def cmd_scan(args) -> int:
         usage_error(f"--rank {args.rank}: a rank is at least 1")
     max_degree = check_max_degree(args.max_degree)
     entries = build_catalog(max_degree)
-    if args.degree:
+    if args.degree is not None:
         entries = [e for e in entries if e.degree == args.degree]
     wanted_type = None
     if args.kernel_type:
@@ -295,16 +295,16 @@ def cmd_scan(args) -> int:
             f"no catalog group of degree <= {max_degree} fits these filters; "
             "--rank must be below the degree and --kernel-type must sum to it"
         )
-    try:  # refuse a kernel type too large to enumerate before printing anything
-        for _, types in selected:
+    try:  # refuse a kernel type or an assignment array too large before printing anything
+        for entry, types in selected:
             for kt in types:
                 partition_count(kt)
+                assignment_count(entry.group, kt.rank)
     except ValueError as exc:
         usage_error(str(exc))
     for entry, types in selected:
         for kt in types:
-            for inst in instances_of_type(entry.group, kt):
-                f = inst.transformation()
+            for f in instances_of_type(entry.group, kt):
                 print(_verdict_json(entry.name, f, synchronizes(entry.group, f)))
     return 0
 

@@ -8,18 +8,16 @@ claim held. A run produces an ExperimentReport whose status is:
 - inconclusive  the time or instance budget ran out first;
 - pass          the sweep completed with zero counterexamples.
 
-Every sweep decides its maps through _Sweeper.unsynchronized: one kernel
-representative and its int8 assignment rows, in blocks of rows with the
-numpy orbit solver, which keeps about sync.BLOCK_PAIR_CELLS (row, point
-pair) cells of uint64 masks in memory per block. _Sweeper.admit is the one
-budget gate: it lets a block through, or only the part of it left in the
-instance budget. unsynchronized yields the maps the solver does not
-synchronize in sweep order. rankpres-32 decides only the maps a
-bool mask covers, found with one rank-preserving search per kernel and
-image set; idempotent-32 groups its idempotents by kernel into rows.
-The sweeps over (k,1,...,1) maps share one body:
-`imprimitivity-char` takes every k from 2 to n-1, and `rystsov` (primitive
-iff every rank n-1 map synchronizes) is its k = 2 case.
+Maps come from sweeps.py in one form, kernel representatives plus int8
+assignment rows, and are decided by one (entry, map) loop,
+_Sweeper.unsynchronized(entries, types): every sweep over a kernel-type
+family types(n) is one call, and gets (entry, f) for each map the numpy
+orbit solver does not synchronize, in sweep order. Below it,
+_Sweeper.decide gathers a kernel's rows into maps and decides them in
+blocks of about sync.BLOCK_PAIR_CELLS (row, point pair) cells; rankpres-32
+(rows a bool mask covers) and idempotent-32 (each kernel's idempotent
+rows) call it with their own rows. _Sweeper.admit is the one budget gate:
+it lets a block through, or only the part of it left in the budget.
 
 Every unsynchronized map a sweep uses goes through one re-verification,
 _Sweeper.confirm_not_synchronizing: the pair-collapse search, then the
@@ -32,7 +30,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from itertools import groupby, permutations
+from itertools import permutations
 
 import numpy as np
 
@@ -51,7 +49,6 @@ from .sweeps import (
     idempotent_instances_of_type,
     instances_of_type,
     kernel_types_of_rank,
-    map_from_assignment,
     representatives_of_type,
 )
 from .sync import OrbitCollapseSolver, synchronizes
@@ -183,8 +180,9 @@ class _Sweeper:
         )
         return Evidence(record, flat.obstruction, c)
 
-    def unsynchronized(self, entry: CatalogEntry, kernel: Partition, assignments, covered=None):
-        """Count every map of a kernel and its int8 assignment rows; yield the unsynchronized.
+    def decide(self, entry: CatalogEntry, kernel: Partition, rows: np.ndarray, covered=None):
+        """Count every map of a kernel and its int8 assignment rows; yield
+        (entry, f) for each one the orbit solver does not synchronize.
 
         Only the rows the bool mask covered marks are decided (every row
         when covered is None), a block of solver.block_rows rows at a time.
@@ -195,9 +193,9 @@ class _Sweeper:
         solver = self.solver(entry)
         columns = np.array(kernel.block_index, dtype=np.intp)
         lo = 0
-        while lo < len(assignments):
-            fits = self.admit(min(solver.block_rows, len(assignments) - lo))
-            images = assignments[lo : lo + fits, columns]
+        while lo < len(rows):
+            fits = self.admit(min(solver.block_rows, len(rows) - lo))
+            images = rows[lo : lo + fits, columns]
             if covered is None:
                 failing = np.flatnonzero(~solver.synchronizes_images(images))
             else:
@@ -205,18 +203,21 @@ class _Sweeper:
                 failing = picked[~solver.synchronizes_images(images[picked])]
             self.report.instances_tested += fits
             for i in failing.tolist():
-                yield Transformation(tuple(images[i].tolist()))
+                yield entry, Transformation(tuple(images[i].tolist()))
             lo += fits
 
-    def unsynchronized_of_type(self, entry: CatalogEntry, kt: KernelType):
-        """The unsynchronized maps of a kernel type, one kernel representative at a time."""
-        kernels, assignments = representatives_of_type(entry.group, kt)
-        for kernel in kernels:
-            yield from self.unsynchronized(entry, kernel, assignments)
+    def unsynchronized(self, entries: list[CatalogEntry], types):
+        """(entry, f) for every unsynchronized map of the kernel types types(n):
+        the one loop of the type sweeps, entry by entry, type by type, kernel by kernel."""
+        for entry in entries:
+            for kt in types(entry.degree):
+                kernels, rows = representatives_of_type(entry.group, kt)
+                for kernel in kernels:
+                    yield from self.decide(entry, kernel, rows)
 
-    def expect_synchronized(self, entry: CatalogEntry, failing) -> None:
-        """Record each map of failing, which the claim says must synchronize."""
-        for f in failing:
+    def expect_synchronized(self, failing) -> None:
+        """Record each (entry, f) of failing, whose map the claim says must synchronize."""
+        for entry, f in failing:
             self.report.counterexamples.append(self.confirm_not_synchronizing(entry, f).record)
 
     def expect_witness_failure(
@@ -255,6 +256,11 @@ def _max_block_size(entry: CatalogEntry) -> int:
     return max((s.block_size for s in entry.group.block_systems()), default=1)
 
 
+def _kernel_type(n: int, *big: int) -> KernelType:
+    """The kernel type on n points with classes of the sizes big, descending, and singletons."""
+    return KernelType(big + (1,) * (n - sum(big)))
+
+
 def _block_witness(entry: CatalogEntry, k: int) -> Transformation:
     """The collapse-k-points-of-a-block map from a system with blocks >= k."""
     systems = [s for s in entry.group.block_systems() if s.block_size >= k]
@@ -265,7 +271,7 @@ def _block_witness(entry: CatalogEntry, k: int) -> Transformation:
     graph = complete_multipartite(system.partition)
     if not graph.is_endomorphism(f):
         raise AssertionError("block witness is not an endomorphism; bug")
-    if f.kernel_type() != KernelType(tuple([k] + [1] * (entry.degree - k))):
+    if f.kernel_type() != _kernel_type(entry.degree, k):
         raise AssertionError("block witness has the wrong kernel type; bug")
     return f
 
@@ -273,21 +279,22 @@ def _block_witness(entry: CatalogEntry, k: int) -> Transformation:
 def _sweep_block_collapse(sw: _Sweeper, max_degree: int, k_range, label: str):
     """Blocks of size >= k exist iff some (k,1,...,1) map fails to synchronize.
 
-    k runs over k_range(n); label, formatted with k, names each witness.
+    k runs over k_range(n), ascending; label, formatted with k, names each
+    witness. Per entry, the witnesses come before the maps that must synchronize.
     """
     for entry in _entries(max_degree):
-        n = entry.degree
         bmax = _max_block_size(entry)
-        for k in k_range(n):
+        ks = k_range(entry.degree)
+        for k in ks:
             if k <= bmax:
                 context = label.format(k=k)
                 evidence = sw.expect_witness_failure(entry, _block_witness(entry, k), context)
                 if evidence is not None:
                     record = evidence.record
                     sw.report.witnesses.append(replace(record, note=f"{context}; {record.note}"))
-            else:
-                kt = KernelType(tuple([k] + [1] * (n - k)))
-                sw.expect_synchronized(entry, sw.unsynchronized_of_type(entry, kt))
+        sw.expect_synchronized(
+            sw.unsynchronized([entry], lambda n: [_kernel_type(n, k) for k in ks if k > bmax])
+        )
 
 
 def _sweep_rystsov(sw: _Sweeper, max_degree: int):
@@ -304,20 +311,15 @@ def _sweep_imprimitivity_char(sw: _Sweeper, max_degree: int):
     _sweep_block_collapse(sw, max_degree, lambda n: range(2, n), "block collapse k={k}")
 
 
-def _expect_types_synchronized(
-    sw: _Sweeper, max_degree: int, kernel_types, min_degree: int = 3
-):
-    """Every primitive entry synchronizes every map of kernel_types(n)."""
-    for entry in _primitive_entries(max_degree, min_degree):
-        for kt in kernel_types(entry.degree):
-            sw.expect_synchronized(entry, sw.unsynchronized_of_type(entry, kt))
-
-
 def _sweep_rank_n2(sw: _Sweeper, max_degree: int):
     """Primitive groups synchronize every map of rank n-2."""
-    _expect_types_synchronized(
-        sw, max_degree, lambda n: kernel_types_of_rank(n, n - 2), min_degree=4
-    )
+    entries = _primitive_entries(max_degree, min_degree=4)
+    sw.expect_synchronized(sw.unsynchronized(entries, lambda n: kernel_types_of_rank(n, n - 2)))
+
+
+def _nonuniform_types(n: int, ranks) -> list[KernelType]:
+    """The non-uniform kernel types of the given ranks below n, rank by rank."""
+    return [kt for r in ranks if r < n for kt in kernel_types_of_rank(n, r) if not kt.is_uniform()]
 
 
 def _sweep_small_ranks(sw: _Sweeper, max_degree: int):
@@ -325,33 +327,25 @@ def _sweep_small_ranks(sw: _Sweeper, max_degree: int):
 
     Uniform maps of rank 3 or 4 may legitimately fail, so they are skipped.
     """
-    _expect_types_synchronized(
-        sw,
-        max_degree,
-        lambda n: [
-            kt
-            for rank in (2, 3, 4)
-            if rank < n
-            for kt in kernel_types_of_rank(n, rank)
-            if rank == 2 or not kt.is_uniform()
-        ],
-    )
+    def types(n: int) -> list[KernelType]:
+        return kernel_types_of_rank(n, 2) + _nonuniform_types(n, (3, 4))
+
+    sw.expect_synchronized(sw.unsynchronized(_primitive_entries(max_degree), types))
 
 
 def _type_32(n: int) -> KernelType:
-    return KernelType(tuple([3, 2] + [1] * (n - 5)))
+    return _kernel_type(n, 3, 2)
 
 
 def _sweep_idempotent_32(sw: _Sweeper, max_degree: int):
     """Primitive groups synchronize every idempotent of type (3,2,1,...,1)."""
     for entry in _primitive_entries(max_degree, min_degree=5):
-        instances = idempotent_instances_of_type(entry.group, _type_32(entry.degree))
-        for kernel, same in groupby(instances, key=lambda inst: inst.kernel):
-            same = list(same)
-            if not all(inst.transformation().is_idempotent() for inst in same):
+        kt = _type_32(entry.degree)
+        for kernel, rows in idempotent_instances_of_type(entry.group, kt):
+            # idempotent: each block's image lies in that block
+            if not (np.array(kernel.block_index)[rows] == np.arange(kt.rank)).all():
                 raise AssertionError("idempotent enumeration produced a non-idempotent")
-            rows = np.array([inst.assignment for inst in same], dtype=np.int8)
-            sw.expect_synchronized(entry, sw.unsynchronized(entry, kernel, rows))
+            sw.expect_synchronized(sw.decide(entry, kernel, rows))
 
 
 def _rank_preserving_mask(
@@ -366,9 +360,8 @@ def _rank_preserving_mask(
     _, first, inverse = np.unique(image_sets, return_index=True, return_inverse=True)
     found = np.array([
         [
-            find_rank_preserving_g(group, Transformation(map_from_assignment(kernel, row)))
-            is not None
-            for row in assignments[first].tolist()
+            find_rank_preserving_g(group, Transformation(tuple(images))) is not None
+            for images in assignments[first][:, kernel.block_index].tolist()
         ]
         for kernel in kernels
     ], dtype=bool)
@@ -381,7 +374,7 @@ def _sweep_rankpres_32(sw: _Sweeper, max_degree: int):
         kernels, assignments = representatives_of_type(entry.group, _type_32(entry.degree))
         covered = _rank_preserving_mask(entry.group, kernels, assignments)
         for kernel, mask in zip(kernels, covered):
-            sw.expect_synchronized(entry, sw.unsynchronized(entry, kernel, assignments, mask))
+            sw.expect_synchronized(sw.decide(entry, kernel, assignments, mask))
 
 
 def grid_projection(m: int = 3) -> Transformation:
@@ -430,34 +423,25 @@ def _sweep_grid_counterexample(sw: _Sweeper, max_degree: int):
         sw.report.witnesses.append(evidence.record)
 
 
-def _nonsync_closure_instances(sw: _Sweeper, max_degree: int):
-    """Evidence of the non-synchronized primitive instances with a complete
-    closure, for the spectrum sweeps; a truncated closure is noted and skipped.
+def _spectrum_types(n: int) -> list[KernelType]:
+    """All uniform kernel types (the only ones a primitive group can fail
+    on) plus every non-uniform type of rank 2 and 3. The types are
+    distinct: uniform ones differ in block count."""
+    uniform = [KernelType((n // s,) * s) for s in range(2, n) if n % s == 0]
+    return uniform + _nonuniform_types(n, (2, 3))
 
-    Instance family: all uniform kernel types (the only ones a primitive
-    group can fail on) plus every non-uniform type of rank 2 and 3. The
-    types are distinct: uniform ones differ in block count.
-    """
-    for entry in _primitive_entries(max_degree):
-        n = entry.degree
-        types = []
-        for s in range(2, n):
-            if n % s == 0:
-                types.append(KernelType(tuple([n // s] * s)))
-        for rank in (2, 3):
-            if rank < n:
-                types.extend(
-                    kt for kt in kernel_types_of_rank(n, rank) if not kt.is_uniform()
-                )
-        for kt in types:
-            for f in sw.unsynchronized_of_type(entry, kt):
-                evidence = sw.confirm_not_synchronizing(entry, f)
-                if evidence.closure is None:
-                    sw.report.notes.append(
-                        f"{entry.name} {evidence.record.map_text}: closure truncated, skipped"
-                    )
-                else:
-                    yield evidence
+
+def _nonsync_closure_instances(sw: _Sweeper, max_degree: int):
+    """Evidence of the non-synchronized primitive instances of _spectrum_types
+    with a complete closure; a truncated closure is noted and skipped."""
+    for entry, f in sw.unsynchronized(_primitive_entries(max_degree), _spectrum_types):
+        evidence = sw.confirm_not_synchronizing(entry, f)
+        if evidence.closure is None:
+            sw.report.notes.append(
+                f"{entry.name} {evidence.record.map_text}: closure truncated, skipped"
+            )
+        else:
+            yield evidence
 
 
 def _sweep_no_rank_r_plus_1(sw: _Sweeper, max_degree: int):
@@ -513,6 +497,13 @@ def _has_p4_or_c4(graph, vertices) -> bool:
     return False
 
 
+def _two_block_types(n: int) -> list[KernelType]:
+    """The kernel types with exactly two non-singleton classes."""
+    return [
+        _kernel_type(n, p, q) for p in range(2, n - 1) for q in range(2, p + 1) if p + q <= n
+    ]
+
+
 def _sweep_lemma41_diagnostic(sw: _Sweeper, max_degree: int):
     """Structural checks on any non-synchronized two-big-block instance.
 
@@ -523,46 +514,34 @@ def _sweep_lemma41_diagnostic(sw: _Sweeper, max_degree: int):
     unique neighbour in the other.
     """
     found = 0
-    for entry in _primitive_entries(max_degree):
-        n = entry.degree
-        types = []
-        for p in range(2, n - 1):
-            for q in range(2, p + 1):
-                if p + q <= n:
-                    types.append(
-                        KernelType(tuple(sorted([p, q] + [1] * (n - p - q), reverse=True)))
-                    )
-        for kt in types:
-            for f in sw.unsynchronized_of_type(entry, kt):
-                found += 1
-                evidence = sw.confirm_not_synchronizing(entry, f)
-                graph = evidence.graph
-                big = [b for b in f.kernel().blocks if len(b) > 1]
-                a_block, b_block = big[0], big[1]
-                k_set = list(a_block) + list(b_block)
-                problems = []
-                for v in k_set:
-                    if not any(graph.is_edge(v, w) for w in k_set if w != v):
-                        problems.append(f"isolated point {v + 1} in the big blocks")
-                for one, other in ((a_block, b_block), (b_block, a_block)):
-                    singles = {}
-                    for v in one:
-                        nbrs = [w for w in other if graph.is_edge(v, w)]
-                        if len(nbrs) == 1:
-                            singles.setdefault(nbrs[0], []).append(v)
-                    for w, vs in singles.items():
-                        if len(vs) > 1:
-                            problems.append(
-                                f"points {vs} share unique neighbour {w + 1}"
-                            )
-                if not _has_p4_or_c4(graph, k_set):
-                    problems.append("no 4-vertex path or cycle in the big blocks")
-                if problems:
-                    sw.report.counterexamples.append(
-                        replace(evidence.record, note="; ".join(problems))
-                    )
-                else:
-                    sw.report.witnesses.append(evidence.record)
+    for entry, f in sw.unsynchronized(_primitive_entries(max_degree), _two_block_types):
+        found += 1
+        evidence = sw.confirm_not_synchronizing(entry, f)
+        graph = evidence.graph
+        big = [b for b in f.kernel().blocks if len(b) > 1]
+        a_block, b_block = big[0], big[1]
+        k_set = list(a_block) + list(b_block)
+        problems = []
+        for v in k_set:
+            if not any(graph.is_edge(v, w) for w in k_set if w != v):
+                problems.append(f"isolated point {v + 1} in the big blocks")
+        for one, other in ((a_block, b_block), (b_block, a_block)):
+            singles = {}
+            for v in one:
+                nbrs = [w for w in other if graph.is_edge(v, w)]
+                if len(nbrs) == 1:
+                    singles.setdefault(nbrs[0], []).append(v)
+            for w, vs in singles.items():
+                if len(vs) > 1:
+                    problems.append(f"points {vs} share unique neighbour {w + 1}")
+        if not _has_p4_or_c4(graph, k_set):
+            problems.append("no 4-vertex path or cycle in the big blocks")
+        if problems:
+            sw.report.counterexamples.append(
+                replace(evidence.record, note="; ".join(problems))
+            )
+        else:
+            sw.report.witnesses.append(evidence.record)
     sw.report.notes.append(f"non-synchronized two-block instances: {found}")
 
 
@@ -611,7 +590,8 @@ def verify_theorem(
     cap: int = DEFAULT_CLOSURE_CAP,
 ) -> ExperimentReport:
     """Run one sweep. ValueError when it would pass with 0 instances, or when
-    a kernel type is too large for a partition table."""
+    a kernel type is too large for a partition table or a rank for an
+    assignment array."""
     if theorem_id not in THEOREMS:
         known = ", ".join(sorted(THEOREMS))
         raise KeyError(f"unknown experiment id {theorem_id!r}; known: {known}")
@@ -645,8 +625,7 @@ def harvest_rank_preserving_pairs(
             type_pool.append(_type_32(n))
         type_pool.extend(kernel_types_of_rank(n, max(2, n - 2)))
         for kt in type_pool:
-            for inst in instances_of_type(entry.group, kt):
-                f = inst.transformation()
+            for f in instances_of_type(entry.group, kt):
                 g = find_rank_preserving_g(entry.group, f)
                 if g is not None:
                     pairs.append((entry.name, f, g))

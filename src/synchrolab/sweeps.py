@@ -36,6 +36,9 @@ kernel type. Both reductions are used:
   lexicographic order; the canonicity filter is the same test as on
   tuples, run on all stabilizer elements at once over chunks of rows.
 
+Maps leave this module in one form, kernel representatives plus int8
+assignment rows; the maps of a kernel are the gather rows[:, block_index].
+
 Idempotent sweeps cannot use right multiplication (it destroys
 idempotency), so they enumerate, per kernel representative, the finitely
 many idempotent assignments (one image point inside each block).
@@ -44,7 +47,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations, permutations, product, repeat
 from typing import Iterator, NamedTuple
@@ -61,6 +63,10 @@ CANONICITY_CHUNK_CELLS = 1 << 18
 # largest partition table built: about 80 MB at degree 16. Every type up
 # to degree 12 fits; degree 15 rank 4 reaches 6.3 million partitions
 MAX_TABLE_PARTITIONS = 2_000_000
+# largest assignment array built, in rows: the release gate and the
+# benchmark build at most 3,628,800 (C11 and D11 at rank 10, 36 MB); C13
+# at rank 12 would ask for 479,001,600 rows, 5.7 GB
+MAX_ASSIGNMENT_ROWS = 4_000_000
 # partition tables kept, one per kernel type; the benchmark's five-sweep
 # pass at degree 9-10 uses 85
 TABLE_CACHE_SIZE = 256
@@ -219,6 +225,23 @@ def kernel_orbit_representatives(
     return [_partition(kt.degree, labels, kt.rank) for labels in kept.tolist()]
 
 
+def assignment_count(group: PermutationGroup, rank: int) -> int:
+    """Rows assignment_representatives enumerates, perm(n - t, rank - t) for
+    t = min(transitivity degree, rank). Above MAX_ASSIGNMENT_ROWS a
+    ValueError names the count, before anything is allocated."""
+    n = group.degree
+    if not 1 <= rank <= n:
+        raise ValueError("rank out of range")
+    t = min(group.transitivity_degree(), rank)
+    count = math.perm(n - t, rank - t)
+    if count > MAX_ASSIGNMENT_ROWS:
+        raise ValueError(
+            f"rank {rank} on degree {n} at transitivity degree {t} has {count:,} "
+            f"image assignments, more than the {MAX_ASSIGNMENT_ROWS:,} an assignment array holds"
+        )
+    return count
+
+
 def assignment_representatives(group: PermutationGroup, rank: int) -> np.ndarray:
     """Injective image tuples up to the right action of the group.
 
@@ -230,11 +253,9 @@ def assignment_representatives(group: PermutationGroup, rank: int) -> np.ndarray
     is canonical, and the stabilizer is not enumerated.
     """
     n = group.degree
-    if not 1 <= rank <= n:
-        raise ValueError("rank out of range")
+    count = assignment_count(group, rank)
     t = min(group.transitivity_degree(), rank)
     free = rank - t
-    count = math.perm(n - t, free)
     rows = np.fromiter(
         chain.from_iterable(
             chain.from_iterable(zip(repeat(range(t)), permutations(range(t, n), free)))
@@ -276,55 +297,31 @@ def _canonical(rows: np.ndarray, stab: np.ndarray) -> np.ndarray:
 def representatives_of_type(
     group: PermutationGroup, kt: KernelType
 ) -> tuple[list[Partition], np.ndarray]:
-    """Kernel representatives and assignment rows; each pair is one instance."""
+    """Kernel representatives and assignment rows; each pair is one instance,
+    the map rows[i, kernel.block_index] sending block j to rows[i, j]."""
     return kernel_orbit_representatives(group, kt), assignment_representatives(group, kt.rank)
 
 
-def map_from_assignment(blocks: Partition, assignment: tuple[int, ...]) -> tuple[int, ...]:
-    """Raw image tuple of the map sending block i to assignment[i]."""
-    idx = blocks.block_index
-    return tuple(assignment[idx[x]] for x in range(blocks.degree))
-
-
-@dataclass(frozen=True)
-class SweepInstance:
-    """One representative map in a sweep, with its provenance."""
-
-    kernel: Partition
-    assignment: tuple[int, ...]
-    images: tuple[int, ...]
-
-    def transformation(self) -> Transformation:
-        return Transformation(self.images)
-
-
-def instances_of_type(
-    group: PermutationGroup, kt: KernelType
-) -> Iterator[SweepInstance]:
+def instances_of_type(group: PermutationGroup, kt: KernelType) -> Iterator[Transformation]:
     """Representative maps of one kernel type, up to two-sided reduction."""
-    reps, rows = representatives_of_type(group, kt)
-    assignments = [tuple(row) for row in rows.tolist()]
-    for kernel in reps:
-        for assignment in assignments:
-            yield SweepInstance(
-                kernel, assignment, map_from_assignment(kernel, assignment)
-            )
+    kernels, rows = representatives_of_type(group, kt)
+    for kernel in kernels:
+        for images in rows[:, kernel.block_index].tolist():
+            yield Transformation(tuple(images))
 
 
 def idempotent_instances_of_type(
     group: PermutationGroup, kt: KernelType
-) -> Iterator[SweepInstance]:
+) -> Iterator[tuple[Partition, np.ndarray]]:
     """Representative idempotent maps: each block maps inside itself.
 
+    One (kernel, int8 assignment rows) pair per kernel representative.
     Kernel representatives still apply (conjugation preserves idempotency);
     the assignment symmetry does not, so all block-internal image choices
     are kept.
     """
     for kernel in kernel_orbit_representatives(group, kt):
-        for assignment in product(*kernel.blocks):
-            yield SweepInstance(
-                kernel, assignment, map_from_assignment(kernel, assignment)
-            )
+        yield kernel, np.array(list(product(*kernel.blocks)), dtype=np.int8)
 
 
 def kernel_types_of_rank(n: int, rank: int) -> list[KernelType]:

@@ -414,7 +414,13 @@ class TestBadInput:
 
     @pytest.mark.parametrize(
         "flags",
-        [["--rank", "5"], ["--rank", "9"], ["--degree", "7"], ["--kernel-type", "3,3,1"]],
+        [
+            ["--rank", "5"],
+            ["--rank", "9"],
+            ["--degree", "7"],
+            ["--degree", "0"],
+            ["--kernel-type", "3,3,1"],
+        ],
     )
     def test_scan_selecting_nothing(self, capsys, flags):
         message = run_rejected(capsys, "scan", "--max-degree", "5", *flags)
@@ -427,6 +433,14 @@ class TestBadInput:
         assert message == (
             "error: kernel type (8,5,2,1) has 2,162,160 partitions, "
             "more than the 2,000,000 a partition table holds\n"
+        )
+
+    def test_scan_assignment_array_too_large(self, capsys):
+        """C13 at rank 12 is refused from the row count alone, before any array or output."""
+        message = run_rejected(capsys, "scan", "--max-degree", "13", "--degree", "13", "--rank", "12")
+        assert message == (
+            "error: rank 12 on degree 13 at transitivity degree 1 has 479,001,600 image "
+            "assignments, more than the 4,000,000 an assignment array holds\n"
         )
 
     def test_verify_kernel_type_too_large(self, capsys, monkeypatch):

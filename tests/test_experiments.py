@@ -21,8 +21,8 @@ from synchrolab.experiments import (
 )
 from synchrolab import experiments
 from synchrolab.reports import report_emit
-from synchrolab.semigroups import find_rank_preserving_g
-from synchrolab.sweeps import instances_of_type, map_from_assignment, representatives_of_type
+from synchrolab.semigroups import DEFAULT_CLOSURE_CAP, find_rank_preserving_g
+from synchrolab.sweeps import instances_of_type, representatives_of_type
 from synchrolab.sync import OrbitCollapseSolver, synchronizes
 from synchrolab.transformations import KernelType, Transformation, format_transformation
 
@@ -239,7 +239,7 @@ class TestBudgets:
 
 
 class TestCoveredMaps:
-    """_Sweeper.unsynchronized with a covered mask against one decision per map, cut mid-entry."""
+    """_Sweeper.decide with a covered mask against one decision per map, cut mid-entry."""
 
     KT = KernelType((2, 1, 1, 1, 1))
 
@@ -255,13 +255,12 @@ class TestCoveredMaps:
     def per_map(cls, entry, covered, limit):
         """(instances_tested, failing covered maps) of one tick and decision per map."""
         tested, failing = 0, []
-        for inst, claimed in zip(instances_of_type(entry.group, cls.KT), covered.ravel()):
+        for f, claimed in zip(instances_of_type(entry.group, cls.KT), covered.ravel()):
             tested += 1
             if tested > limit:
                 break
             if not claimed:
                 continue
-            f = inst.transformation()
             if not synchronizes(entry.group, f).synchronizes:
                 failing.append(format_transformation(f))
         return tested, failing
@@ -293,9 +292,7 @@ class TestCoveredMaps:
         cut = limit < covered.size
         try:
             for kernel, mask in zip(kernels, covered):
-                sweeper.expect_synchronized(
-                    entry, sweeper.unsynchronized(entry, kernel, rows, mask)
-                )
+                sweeper.expect_synchronized(sweeper.decide(entry, kernel, rows, mask))
         except _BudgetExceeded:
             assert cut
         else:
@@ -315,8 +312,8 @@ class TestRankPreservingMask:
             mask = _rank_preserving_mask(group, kernels, rows)
             assert mask.shape == (len(kernels), len(rows))
             for kernel, covered in zip(kernels, mask.tolist()):
-                for row, claimed in zip(rows.tolist(), covered):
-                    f = Transformation(map_from_assignment(kernel, row))
+                for images, claimed in zip(rows[:, kernel.block_index].tolist(), covered):
+                    f = Transformation(tuple(images))
                     assert claimed == (find_rank_preserving_g(group, f) is not None), (
                         entry.name, format_transformation(f)
                     )
@@ -383,6 +380,41 @@ class TestPinnedReports:
     )
     def test_report_bytes(self, theorem_id, degree, digest):
         report = verify_theorem(theorem_id, max_degree=degree, budget=QUICK)
+        text = report_emit(report, "jsonl")
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, text
+
+
+# SHA-256 of jsonl reports cut by the instance budget, recorded before the
+# sweeps took their maps from one (entry, map) loop. A cut report holds only
+# what came before the cut, so unlike REPORT_DIGESTS these pin the order in
+# which maps are decided. Each cut falls inside a run: after the k = 2
+# witness of C6 and of C9 and the k = 3 one of C8 (imprimitivity-char),
+# between the C4 and grid-2 witnesses and between C8's and C9's (rystsov),
+# and between the two grid-3 closures of the spectrum sweeps, which a cap
+# of 100 truncates, so each one leaves a note.
+CUT_REPORT_DIGESTS = [
+    ("imprimitivity-char", 8, 149, None, "9cde77dbf3dcfdd00ac28ec4fced5acb6bc7a79dd41ba5027d1dba3d85eb6444"),
+    ("imprimitivity-char", 8, 6994, None, "366491d182911436790ceeba695313f107a001c033e621256ac33cc7fa5b8246"),
+    ("imprimitivity-char", 9, 8882, None, "6ee45ec4db7d4679fdb5ac765dc1ea82f37ca673bb2b7156e36274df121d80cb"),
+    ("rystsov", 9, 9, None, "d1bba776f10ffb961db63ae32c3d2d233388d4e382746895148b72dc430ff817"),
+    ("rystsov", 9, 3400, None, "6125138e19ca0e3b15d1f1d8927415d8cdf8b320c2bb3fe36cfc76cf86c1ac2b"),
+    ("no-rank-r-plus-1", 9, 2150, 100, "400bca2b23d825eb2c53d82b47b6f552629f64d1f26a8599ad776fe6a3774748"),
+    ("split-one-part", 9, 2150, 100, "800bc38030cdf7b288606e646543b244e186eec630593344e8ed765353e26a06"),
+]
+
+
+class TestCutReports:
+    @pytest.mark.parametrize(
+        "theorem_id,degree,limit,cap,digest",
+        CUT_REPORT_DIGESTS,
+        ids=[f"{t}-{d}-{k}" for t, d, k, _, _ in CUT_REPORT_DIGESTS],
+    )
+    def test_cut_report_bytes(self, theorem_id, degree, limit, cap, digest):
+        budget = Budget(600.0, max_instances=limit)
+        report = verify_theorem(
+            theorem_id, max_degree=degree, budget=budget, cap=cap or DEFAULT_CLOSURE_CAP
+        )
+        assert report.status == "inconclusive"
         text = report_emit(report, "jsonl")
         assert hashlib.sha256(text.encode()).hexdigest() == digest, text
 

@@ -9,7 +9,10 @@ scripts refuse bad input through synchrolab.cli (usage_error, UsageParser
 and the degree and budget checks), so the exit code and the error line are
 decided in one place. In experiments.py only
 _Sweeper.confirm_not_synchronizing calls the pair-collapse search and the
-closure oracle, so every sweep checks its maps with the same rules.
+closure oracle, so every sweep checks its maps with the same rules, and
+only the one (entry, map) loop and the two sweeps with their own rows
+(idempotent-32, rankpres-32) take maps out of sweeps.py or gather
+assignment rows into maps.
 """
 import ast
 from pathlib import Path
@@ -113,9 +116,9 @@ ORACLES = ("group_and_map_closure", "synchronizes")
 ORACLE_HOME = "_Sweeper.confirm_not_synchronizing"
 
 
-def oracle_calls(source: str, name: str) -> list[str]:
-    """``name:line scope callee`` for every call of synchronizes or
-    group_and_map_closure, scope being the dotted class and function path."""
+def scoped_hits(source: str, name: str, match) -> list[str]:
+    """``name:line scope what`` for every node that match(node) names with a
+    string, scope being the dotted class and function path."""
     found = []
 
     def visit(node, scope):
@@ -123,15 +126,29 @@ def oracle_calls(source: str, name: str) -> list[str]:
             inner = scope
             if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
                 inner = f"{scope}.{child.name}" if scope else child.name
-            elif isinstance(child, ast.Call):
-                func = child.func
-                callee = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
-                if callee in ORACLES:
-                    found.append(f"{name}:{child.lineno} {scope or '<module>'} {callee}")
+            else:
+                what = match(child)
+                if what:
+                    found.append(f"{name}:{child.lineno} {scope or '<module>'} {what}")
             visit(child, inner)
 
     visit(ast.parse(source, name), "")
     return found
+
+
+def call_of(node, names) -> str:
+    """The called name of a call node when it is one of names, else ''."""
+    if not isinstance(node, ast.Call):
+        return ""
+    func = node.func
+    callee = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+    return callee if callee in names else ""
+
+
+def oracle_calls(source: str, name: str) -> list[str]:
+    """``name:line scope callee`` for every call of synchronizes or
+    group_and_map_closure, scope being the dotted class and function path."""
+    return scoped_hits(source, name, lambda node: call_of(node, ORACLES))
 
 
 def test_oracle_calls_are_found():
@@ -159,3 +176,76 @@ def test_sweeps_reverify_in_one_place():
     home = [c for c in calls if c.split()[1] == ORACLE_HOME]
     assert sorted(c.split()[2] for c in home) == sorted(ORACLES)
     assert [c for c in calls if c not in home] == []
+
+
+INSTANCE_SOURCES = ("representatives_of_type", "idempotent_instances_of_type")
+# the functions of experiments.py that take maps out of sweeps.py, or read a
+# kernel's block_index, which gathers assignment rows into maps
+INSTANCE_HOMES = {
+    "_Sweeper.decide": {"block_index"},
+    "_Sweeper.unsynchronized": {"representatives_of_type"},
+    "_sweep_idempotent_32": {"idempotent_instances_of_type", "block_index"},
+    "_sweep_rankpres_32": {"representatives_of_type"},
+    "_rank_preserving_mask": {"block_index"},
+}
+
+
+def instance_uses(source: str, name: str) -> list[str]:
+    """``name:line scope what`` for every call of representatives_of_type or
+    idempotent_instances_of_type and every read of an attribute block_index."""
+
+    def match(node):
+        if isinstance(node, ast.Attribute) and node.attr == "block_index":
+            return "block_index"
+        return call_of(node, INSTANCE_SOURCES)
+
+    return scoped_hits(source, name, match)
+
+
+def stray_instance_uses(source: str, name: str) -> list[str]:
+    """The instance_uses outside the function INSTANCE_HOMES names for them."""
+    return [
+        hit
+        for hit in instance_uses(source, name)
+        if hit.split()[2] not in INSTANCE_HOMES.get(hit.split()[1], ())
+    ]
+
+
+# a sweep that runs its own entry x type loop instead of _Sweeper.unsynchronized
+PLANTED_SWEEP = """
+def _sweep_planted(sw, max_degree):
+    for entry in _primitive_entries(max_degree):
+        for kt in kernel_types_of_rank(entry.degree, 2):
+            kernels, rows = representatives_of_type(entry.group, kt)
+            for kernel in kernels:
+                sw.expect_synchronized(sw.decide(entry, kernel, rows))
+"""
+
+
+def test_instance_uses_are_found():
+    source = PLANTED_SWEEP + (
+        "class _Sweeper:\n"
+        "    def decide(self, entry, kernel, rows):\n"
+        "        return rows[:, kernel.block_index]\n"
+        "def _sweep_idempotent_32(sw, d):\n"
+        "    return sweeps.idempotent_instances_of_type(G, kt)\n"
+    )
+    assert instance_uses(source, "probe.py") == [
+        "probe.py:5 _sweep_planted representatives_of_type",
+        "probe.py:10 _Sweeper.decide block_index",
+        "probe.py:12 _sweep_idempotent_32 idempotent_instances_of_type",
+    ]
+    assert stray_instance_uses(source, "probe.py") == [
+        "probe.py:5 _sweep_planted representatives_of_type",
+    ]
+
+
+def test_sweeps_take_maps_from_one_loop():
+    path = PACKAGE / "experiments.py"
+    source = path.read_text()
+    assert stray_instance_uses(source, path.name) == []
+    used = {}
+    for hit in instance_uses(source, path.name):
+        used.setdefault(hit.split()[1], set()).add(hit.split()[2])
+    assert used == INSTANCE_HOMES
+    assert stray_instance_uses(source + PLANTED_SWEEP, path.name) != []

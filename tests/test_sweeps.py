@@ -17,14 +17,15 @@ from synchrolab.catalog import (
 )
 from synchrolab.semigroups import group_and_map_closure
 from synchrolab.sweeps import (
+    MAX_ASSIGNMENT_ROWS,
     MAX_TABLE_PARTITIONS,
     STABILIZER_ENUMERATION_CAP,
+    assignment_count,
     assignment_representatives,
     idempotent_instances_of_type,
     instances_of_type,
     kernel_orbit_representatives,
     kernel_types_of_rank,
-    map_from_assignment,
     partition_count,
     partition_table,
     partitions_of_type,
@@ -34,11 +35,22 @@ from synchrolab.transformations import KernelType, Partition, Transformation
 from test_groups import act_on_blocks, reference_chain
 
 
+def map_of(kernel, assignment):
+    """The map sending block i of the kernel to assignment[i]."""
+    return Transformation(tuple(assignment[i] for i in kernel.block_index))
+
+
 def all_maps_of_type(n, kt):
     """Oracle enumeration: every transformation with the given kernel type."""
     for blocks in partitions_of_type(kt):
         for assignment in itertools.permutations(range(n), kt.rank):
-            yield Transformation(map_from_assignment(blocks, assignment))
+            yield map_of(blocks, assignment)
+
+
+def instance_key(f):
+    """(kernel blocks, assignment): the kernel of f and the image of each block."""
+    blocks = f.kernel().blocks
+    return blocks, tuple(f.images[block[0]] for block in blocks)
 
 
 def canonical_kernel(group, blocks):
@@ -337,6 +349,19 @@ class TestAssignmentRepresentatives:
         reps = assignment_representatives(dihedral_group(7), 2)
         assert reps.tolist() == [[0, 1], [0, 2], [0, 3]]
 
+    @pytest.mark.parametrize(
+        "group,rank,count",
+        [(cyclic_group(13), 12, "479,001,600"), (grid_group(4), 15, "1,307,674,368,000")],
+    )
+    def test_oversize_array_refused_before_allocation(self, group, rank, count):
+        # transitivity degree 1: (n - 1)! / (n - rank)! rows; the count alone decides
+        with pytest.raises(ValueError, match=f"at transitivity degree 1 has {count} image"):
+            assignment_representatives(group, rank)
+
+    def test_largest_release_array_fits(self):
+        # C11 at rank 10, the largest array the release sweeps build
+        assert assignment_count(cyclic_group(11), 10) == 3_628_800 <= MAX_ASSIGNMENT_ROWS
+
     @pytest.mark.parametrize("entry", build_catalog(10), ids=lambda e: e.name)
     def test_rows_match_reference_generator(self, entry):
         group = entry.group
@@ -363,9 +388,8 @@ class TestReductionSoundness:
     def test_full_enumeration_agrees(self, group, kt):
         n = group.degree
         reduced = {}
-        for inst in instances_of_type(group, kt):
-            verdict = synchronizes(group, inst.transformation())
-            reduced[(inst.kernel.blocks, inst.assignment)] = verdict.synchronizes
+        for f in instances_of_type(group, kt):
+            reduced[instance_key(f)] = synchronizes(group, f).synchronizes
         for f in all_maps_of_type(n, kt):
             kernel, assignment = canonical_instance(group, f)
             key = (kernel.blocks, assignment)
@@ -376,11 +400,9 @@ class TestReductionSoundness:
     def test_canonical_instance_idempotent_on_reps(self):
         group = cyclic_group(5)
         kt = KernelType((2, 2, 1))
-        for inst in instances_of_type(group, kt):
-            kernel, assignment = canonical_instance(group, inst.transformation())
-            again = canonical_instance(
-                group, Transformation(map_from_assignment(kernel, assignment))
-            )
+        for f in instances_of_type(group, kt):
+            kernel, assignment = canonical_instance(group, f)
+            again = canonical_instance(group, map_of(kernel, assignment))
             assert again == (kernel, assignment)
 
 
@@ -422,22 +444,31 @@ class TestCanonicalInstanceKeys:
         assert compared >= 50
 
 
+def idempotent_maps(group, kt):
+    """The maps of idempotent_instances_of_type, each row gathered through its kernel."""
+    for kernel, rows in idempotent_instances_of_type(group, kt):
+        for assignment in rows.tolist():
+            yield map_of(kernel, assignment)
+
+
 class TestIdempotentInstances:
     def test_all_idempotent(self):
         group = symmetric_group(6)
-        for inst in idempotent_instances_of_type(group, KernelType((3, 2, 1))):
-            assert inst.transformation().is_idempotent()
+        maps = list(idempotent_maps(group, KernelType((3, 2, 1))))
+        assert maps and all(f.is_idempotent() for f in maps)
 
     def test_count_per_kernel(self):
         group = symmetric_group(6)
-        insts = list(idempotent_instances_of_type(group, KernelType((3, 2, 1))))
+        pairs = list(idempotent_instances_of_type(group, KernelType((3, 2, 1))))
         # one kernel representative, 3 * 2 * 1 image choices
-        assert len(insts) == 6
+        assert len(pairs) == 1
+        kernel, rows = pairs[0]
+        assert rows.dtype == np.int8 and rows.shape == (6, 3)
 
     def test_covers_all_idempotents_up_to_conjugacy(self):
         group = cyclic_group(4)
         kt = KernelType((2, 1, 1))
-        mine = {i.images for i in idempotent_instances_of_type(group, kt)}
+        mine = {f.images for f in idempotent_maps(group, kt)}
         # oracle: all idempotents of the type, then close under conjugation
         everything = {
             f.images
