@@ -32,7 +32,7 @@ from .semigroups import (
     group_and_map_closure,
     regular_partition_witnesses,
 )
-from .sweeps import assignment_count, instances_of_type, kernel_types_of_rank, partition_count
+from .sweeps import check_array_sizes, instances_of_type, kernel_types_of_rank
 from .sync import SyncVerdict, cerny_bound, synchronizes
 from .transformations import (
     MAX_DEGREE,
@@ -296,10 +296,7 @@ def cmd_scan(args) -> int:
             "--rank must be below the degree and --kernel-type must sum to it"
         )
     try:  # refuse a kernel type or an assignment array too large before printing anything
-        for entry, types in selected:
-            for kt in types:
-                partition_count(kt)
-                assignment_count(entry.group, kt.rank)
+        check_array_sizes((entry.group, types) for entry, types in selected)
     except ValueError as exc:
         usage_error(str(exc))
     for entry, types in selected:

@@ -17,7 +17,10 @@ _Sweeper.decide gathers a kernel's rows into maps and decides them in
 blocks of about sync.BLOCK_PAIR_CELLS (row, point pair) cells; rankpres-32
 (rows a bool mask covers) and idempotent-32 (each kernel's idempotent
 rows) call it with their own rows. _Sweeper.admit is the one budget gate:
-it lets a block through, or only the part of it left in the budget.
+it lets a block through, or only the part of it left in the budget. Before
+the first admit, a sweep sizes the partition tables and assignment arrays
+of all its (entry, type) pairs (sweeps.check_array_sizes), so one too large
+to build is refused before any map is decided.
 
 Every unsynchronized map a sweep uses goes through one re-verification,
 _Sweeper.confirm_not_synchronizing: the pair-collapse search, then the
@@ -46,6 +49,7 @@ from .semigroups import (
     idempotent_same_kernel,
 )
 from .sweeps import (
+    check_array_sizes,
     idempotent_instances_of_type,
     instances_of_type,
     kernel_types_of_rank,
@@ -208,9 +212,12 @@ class _Sweeper:
 
     def unsynchronized(self, entries: list[CatalogEntry], types):
         """(entry, f) for every unsynchronized map of the kernel types types(n):
-        the one loop of the type sweeps, entry by entry, type by type, kernel by kernel."""
-        for entry in entries:
-            for kt in types(entry.degree):
+        the one loop of the type sweeps, entry by entry, type by type, kernel by kernel.
+        Every entry's tables and arrays are sized before the first map is decided."""
+        planned = [(entry, list(types(entry.degree))) for entry in entries]
+        check_array_sizes((entry.group, kts) for entry, kts in planned)
+        for entry, kts in planned:
+            for kt in kts:
                 kernels, rows = representatives_of_type(entry.group, kt)
                 for kernel in kernels:
                     yield from self.decide(entry, kernel, rows)
@@ -282,19 +289,21 @@ def _sweep_block_collapse(sw: _Sweeper, max_degree: int, k_range, label: str):
     k runs over k_range(n), ascending; label, formatted with k, names each
     witness. Per entry, the witnesses come before the maps that must synchronize.
     """
+    planned = []  # (entry, the ks with a witness, the types that must synchronize)
     for entry in _entries(max_degree):
         bmax = _max_block_size(entry)
         ks = k_range(entry.degree)
-        for k in ks:
-            if k <= bmax:
-                context = label.format(k=k)
-                evidence = sw.expect_witness_failure(entry, _block_witness(entry, k), context)
-                if evidence is not None:
-                    record = evidence.record
-                    sw.report.witnesses.append(replace(record, note=f"{context}; {record.note}"))
-        sw.expect_synchronized(
-            sw.unsynchronized([entry], lambda n: [_kernel_type(n, k) for k in ks if k > bmax])
-        )
+        synced = [_kernel_type(entry.degree, k) for k in ks if k > bmax]
+        planned.append((entry, [k for k in ks if k <= bmax], synced))
+    check_array_sizes((entry.group, synced) for entry, _, synced in planned)
+    for entry, blocked, synced in planned:
+        for k in blocked:
+            context = label.format(k=k)
+            evidence = sw.expect_witness_failure(entry, _block_witness(entry, k), context)
+            if evidence is not None:
+                record = evidence.record
+                sw.report.witnesses.append(replace(record, note=f"{context}; {record.note}"))
+        sw.expect_synchronized(sw.unsynchronized([entry], lambda n: synced))
 
 
 def _sweep_rystsov(sw: _Sweeper, max_degree: int):
@@ -370,7 +379,9 @@ def _rank_preserving_mask(
 
 def _sweep_rankpres_32(sw: _Sweeper, max_degree: int):
     """Type (3,2,1,...,1) maps with a rank-preserving group element synchronize."""
-    for entry in _primitive_entries(max_degree, min_degree=5):
+    entries = _primitive_entries(max_degree, min_degree=5)
+    check_array_sizes((entry.group, [_type_32(entry.degree)]) for entry in entries)
+    for entry in entries:
         kernels, assignments = representatives_of_type(entry.group, _type_32(entry.degree))
         covered = _rank_preserving_mask(entry.group, kernels, assignments)
         for kernel, mask in zip(kernels, covered):

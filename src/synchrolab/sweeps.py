@@ -26,7 +26,10 @@ kernel type. Both reductions are used:
   into an index map; groups.orbit_labels, the pair layer's orbit
   labeller, gives each row the least enumeration index of its orbit. The kept
   representative of an orbit is its tuple-least row, and Partition objects
-  are built only for those;
+  are built only for those. The representatives are memoised per group in
+  _kernel_reps, a WeakKeyDictionary from group to {kernel type: tuple}, so
+  a (group, type) pair is labelled once for as long as its group lives
+  (catalog groups: the whole process) and the entry dies with the group;
 - assignment_representatives normalises the first t coordinates of the
   image tuple to 0, 1, ..., t-1 (t = transitivity degree), then removes the
   residual pointwise-stabilizer symmetry when that stabilizer is small
@@ -46,6 +49,7 @@ many idempotent assignments (one image point inside each block).
 from __future__ import annotations
 
 import math
+import weakref
 from collections import Counter
 from functools import lru_cache
 from itertools import chain, combinations, permutations, product, repeat
@@ -70,6 +74,9 @@ MAX_ASSIGNMENT_ROWS = 4_000_000
 # partition tables kept, one per kernel type; the benchmark's five-sweep
 # pass at degree 9-10 uses 85
 TABLE_CACHE_SIZE = 256
+# group -> {kernel type: its kernel representatives}; an entry lives and
+# dies with its group
+_kernel_reps: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def partition_count(kt: KernelType) -> int:
@@ -211,18 +218,23 @@ def kernel_orbit_representatives(
 
     The representative is the smallest partition of its orbit under plain
     tuple comparison of the canonical block lists; orbits are listed in
-    order of first appearance in partitions_of_type.
+    order of first appearance in partitions_of_type. Memoised per group
+    and type; every call returns a new list.
     """
     if kt.degree != group.degree:
         raise ValueError("kernel type degree mismatch")
-    table = partition_table(kt)
-    moves = [table.find(table.rows[:, g.images], kt.rank) for g in group.generators]
-    label = orbit_labels(moves, len(table.rows))
-    # np.unique lists each orbit by its least index, with the position of its
-    # first row in tuple order
-    _, first = np.unique(label[table.tuple_order], return_index=True)
-    kept = table.rows[table.tuple_order[first]]
-    return [_partition(kt.degree, labels, kt.rank) for labels in kept.tolist()]
+    partition_count(kt)  # a refusal never depends on what the memo holds
+    memo = _kernel_reps.setdefault(group, {})
+    if kt not in memo:
+        table = partition_table(kt)
+        moves = [table.find(table.rows[:, g.images], kt.rank) for g in group.generators]
+        label = orbit_labels(moves, len(table.rows))
+        # np.unique lists each orbit by its least index, with the position of
+        # its first row in tuple order
+        _, first = np.unique(label[table.tuple_order], return_index=True)
+        kept = table.rows[table.tuple_order[first]]
+        memo[kt] = tuple(_partition(kt.degree, labels, kt.rank) for labels in kept.tolist())
+    return list(memo[kt])
 
 
 def assignment_count(group: PermutationGroup, rank: int) -> int:
@@ -240,6 +252,16 @@ def assignment_count(group: PermutationGroup, rank: int) -> int:
             f"image assignments, more than the {MAX_ASSIGNMENT_ROWS:,} an assignment array holds"
         )
     return count
+
+
+def check_array_sizes(pairs) -> None:
+    """Refuse the first (group, kernel types) pair of pairs with a partition
+    table or an assignment array too large to build: the ValueError of
+    partition_count or assignment_count, raised before anything is built."""
+    for group, types in pairs:
+        for kt in types:
+            partition_count(kt)
+            assignment_count(group, kt.rank)
 
 
 def assignment_representatives(group: PermutationGroup, rank: int) -> np.ndarray:

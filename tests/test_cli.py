@@ -11,6 +11,7 @@ import pytest
 
 from synchrolab import sweeps
 from synchrolab.cli import main
+from synchrolab.sync import OrbitCollapseSolver
 
 
 GRID_FILE = "\n".join(
@@ -451,6 +452,20 @@ class TestBadInput:
         assert message == (
             "error: verify small-ranks --max-degree 7: kernel type (4,2,1) has 105 "
             "partitions, more than the 100 a partition table holds\n"
+        )
+
+    def test_verify_sizes_every_array_before_the_first_map(self, capsys, monkeypatch):
+        """The same line as a refusal mid-sweep, given before any map is decided."""
+        monkeypatch.setattr(sweeps, "MAX_ASSIGNMENT_ROWS", 500)
+
+        def decided(*args):
+            raise AssertionError("a map was decided before the refusal")
+
+        monkeypatch.setattr(OrbitCollapseSolver, "synchronizes_images", decided)
+        message = run_rejected(capsys, "verify", "rystsov", "--max-degree", "7")
+        assert message == (
+            "error: verify rystsov --max-degree 7: rank 6 on degree 7 at transitivity "
+            "degree 1 has 720 image assignments, more than the 500 an assignment array holds\n"
         )
 
     @pytest.mark.parametrize("command", ["check", "word", "gr", "depth", "closure"])

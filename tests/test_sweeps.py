@@ -1,11 +1,14 @@
+import gc
 import hashlib
 import itertools
 import math
 import random
+import weakref
 
 import numpy as np
 import pytest
 
+from synchrolab import sweeps
 from synchrolab.catalog import (
     alternating_group,
     build_catalog,
@@ -15,6 +18,7 @@ from synchrolab.catalog import (
     projective_linear_group,
     symmetric_group,
 )
+from synchrolab.groups import PermutationGroup, orbit_labels, parse_group_text
 from synchrolab.semigroups import group_and_map_closure
 from synchrolab.sweeps import (
     MAX_ASSIGNMENT_ROWS,
@@ -321,6 +325,62 @@ class TestPartitionTable:
         order = [table.rows[i].tolist() for i in table.tuple_order]
         by_tuple = sorted(partitions_of_type(kt), key=lambda p: p.blocks)
         assert order == [list(p.block_index) for p in by_tuple]
+
+
+def no_labelling(*args):
+    raise AssertionError("orbits labelled again")
+
+
+class TestKernelRepresentativeMemo:
+    @pytest.mark.parametrize("entry", list(build_catalog(8)), ids=lambda e: e.name)
+    def test_second_call_labels_nothing(self, entry, monkeypatch):
+        group = entry.group
+        types = all_kernel_types(group.degree)
+        first = [kernel_orbit_representatives(group, kt) for kt in types]
+        monkeypatch.setattr(sweeps, "orbit_labels", no_labelling)
+        for kt, reps in zip(types, first):
+            again = kernel_orbit_representatives(group, kt)
+            assert again == reps and again is not reps, kt
+
+    def test_group_from_the_same_generators_labels_again(self, monkeypatch):
+        group = grid_group(3)
+        kt = KernelType((3, 3, 3))
+        reps = kernel_orbit_representatives(group, kt)
+        calls = []
+        monkeypatch.setattr(sweeps, "orbit_labels", lambda *a: calls.append(a) or orbit_labels(*a))
+        twin = PermutationGroup(group.generators, group.degree)
+        assert kernel_orbit_representatives(twin, kt) == reps
+        assert kernel_orbit_representatives(twin, kt) == reps
+        assert len(calls) == 1
+
+    def test_mutating_a_result_leaves_the_memo_alone(self):
+        group = cyclic_group(6)
+        kt = KernelType((2, 2, 1, 1))
+        reps = kernel_orbit_representatives(group, kt)
+        expected = list(reps)
+        reps.reverse()
+        reps.pop()
+        assert kernel_orbit_representatives(group, kt) == expected
+
+    def test_entry_dies_with_its_group(self, monkeypatch):
+        memo = weakref.WeakKeyDictionary()
+        monkeypatch.setattr(sweeps, "_kernel_reps", memo)
+        _, group = parse_group_text("degree 5\n(1 2 3 4 5)\n")
+        kernel_orbit_representatives(group, KernelType((2, 1, 1, 1)))
+        assert list(memo) == [group]
+        ref = weakref.ref(group)
+        del group
+        gc.collect()
+        assert ref() is None
+        assert len(memo) == 0
+
+    def test_refusal_does_not_depend_on_the_memo(self, monkeypatch):
+        group = symmetric_group(7)
+        kt = KernelType((4, 2, 1))
+        kernel_orbit_representatives(group, kt)  # warm: now a memo hit
+        monkeypatch.setattr(sweeps, "MAX_TABLE_PARTITIONS", 100)
+        with pytest.raises(ValueError, match="has 105 partitions, more than the 100"):
+            kernel_orbit_representatives(group, kt)
 
 
 class TestAssignmentRepresentatives:

@@ -5,7 +5,8 @@ callers look them up. A refactor that renames a traced function, or calls
 it through another module, leaves its metric at a silent 0. This test
 loads the tracer by path, runs a little of every layer under it and asks
 that each wrapped entry point was reached, then that uninstall put every
-original back.
+original back. The groups are warmed first, so a memoised answer must
+still come through its traced name.
 """
 import importlib
 import importlib.util
@@ -50,12 +51,17 @@ def test_every_traced_name_is_reached_and_restored():
         **{name: importlib.import_module(f"synchrolab.{name}") for name in LAYERS}
     )
     tracer = load_tracer_module().Tracer()
+    # warm every group rystsov meets, so the traced run below answers its
+    # kernel representatives from the memo and must still reach the traced name
+    assert verify_theorem("rystsov", max_degree=6).passed
     try:
         tracer.install(lib)
         patched = list(tracer._undo)
         for owner, attr, original in patched:
             assert owner.__dict__[attr] is not original, attr
         assert verify_theorem("rystsov", max_degree=6).passed
+        # every answer of that run was a memo hit, and came through the traced name
+        assert tracer.snapshot().get("sweeps.kernel_reps.calls")
         assert verify_theorem("rankpres-32", max_degree=6).passed
         assert verify_theorem("idempotent-32", max_degree=6).passed
         _, group = lib.groups.parse_group_text("degree 4\n(1 2 3 4)\n")
